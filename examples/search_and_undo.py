@@ -24,6 +24,7 @@ from repro.optimize import (
     parallelism_score,
     search,
 )
+from repro.optimize.search import SearchConfig
 from repro.runtime import Array
 
 N = 20
@@ -41,7 +42,8 @@ print(f"\ndeps: {deps} (fully parallel)")
 before = nest.pretty()
 
 # Objective 1: parallelism.
-result = search(nest, deps, score=parallelism_score, depth=2, beam=6)
+result = search(nest, deps,
+                config=SearchConfig(score=parallelism_score, depth=2, beam=6))
 print(f"\n[parallelism] explored {result.explored} candidates, "
       f"{result.legal_count} legal")
 print(f"winner: {result.transformation.signature()} "
@@ -58,7 +60,8 @@ layout.register("a", [(1, N), (1, N)])
 layout.register("b", [(1, N), (1, N)])
 score = make_locality_score({"a": a}, {"n": N}, layout,
                             CacheConfig(512, 64, 2))
-result2 = search(nest, deps, score=score, depth=1, beam=6)
+result2 = search(nest, deps,
+                 config=SearchConfig(score=score, depth=1, beam=6))
 print(f"\n[locality] explored {result2.explored} candidates")
 print(f"winner: {result2.transformation.signature()} "
       f"({-result2.score:.0f} simulated misses)")

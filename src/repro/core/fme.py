@@ -1,4 +1,4 @@
-"""Symbolic Fourier–Motzkin elimination for unimodular code generation.
+"""Polyhedron scanning for unimodular code generation.
 
 The Unimodular template's loop-bounds mapping ("studied in detail in
 [Irigoin 88; Wolf & Lam 91]") is polyhedron scanning: the input bounds
@@ -10,17 +10,34 @@ bounds ``y_k <= floor(e / a)`` whose ``max``/``min`` become the new loop
 bounds — exactly the `max(2, jj-n+1) .. min(n-1, jj-2)` shape of
 Figure 1(b).
 
-Constraints carry exact integer coefficients over the index variables
-plus a symbolic invariant part (so ``n`` stays symbolic).  Constraints
-whose index coefficients are all zero relate invariants only; they are
-implied by the emptiness behaviour of the generated ``max``/``min``
-bounds and are dropped.
+The system is a list of the dependence analyzer's integer
+:class:`~repro.deps.analysis.linear_system.LinConstraint` rows, and each
+projection is that module's shared ``_eliminate`` step.  Row variables
+are the index variables (keyed by name) and the invariant *atoms*: the
+distinct non-constant summands of a bound's invariant part in ``add``
+normal form (``n``, ``div(n, 2)``, ``colstr(1)``), each keyed by
+``"$"`` plus its printed form, so ``n`` stays symbolic.  The atom table
+maps keys back to expressions; expressions are rebuilt only when a
+level's bounds are extracted.
+
+What stays specific to scanning is the fixed innermost-first
+elimination order and a post-pass after every step (:func:`_tighten`):
+rows over index variables alone are floor-tightened, rows with no index
+variable are dropped (they relate invariants only, and their emptiness
+shows up in some variable's max-lower/min-upper pair), and the tightest
+row per coefficient vector is kept.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.deps.analysis.linear_system import (
+    LinConstraint,
+    LinearSystem,
+    _eliminate,
+)
 from repro.expr.linear import affine_form
 from repro.expr.nodes import (
     Const,
@@ -30,61 +47,43 @@ from repro.expr.nodes import (
     add,
     ceildiv,
     floordiv,
+    linear_parts,
     mul,
     neg,
+    to_str,
     var,
     vmax,
     vmin,
 )
 from repro.resilience import guards as _guards
 from repro.util.errors import CodegenError
-from repro.util.intmath import gcd_many
 from repro.util.matrices import IntMatrix
 
-#: Historical default for the safety valve against FM's worst-case
-#: blowup; the live cap is ``guards.limits().max_fme_constraints``
-#: (same default, REPRO_MAX_FME_CONSTRAINTS-overridable).
-MAX_CONSTRAINTS = 2000
+#: Atom key -> atom expression, shared by the rows of one system.
+Atoms = Dict[str, Expr]
 
 
-class Constraint:
-    """``sum(coeffs[m] * v_m) + rest >= 0`` with integer coefficients."""
-
-    __slots__ = ("coeffs", "rest")
-
-    def __init__(self, coeffs: Sequence[int], rest: Expr):
-        self.coeffs = tuple(int(c) for c in coeffs)
-        self.rest = rest
-
-    def normalized(self) -> "Constraint":
-        """Divide through by the gcd when the invariant part is constant
-        (tightening the constant with floor is sound for ``>= 0``)."""
-        if not isinstance(self.rest, Const):
-            return self
-        g = gcd_many(list(self.coeffs))
-        if g <= 1:
-            return self
-        new_rest = Const(self.rest.value // g)  # floor tightens >= 0
-        return Constraint([c // g for c in self.coeffs], new_rest)
-
-    def key(self) -> Tuple:
-        return (self.coeffs, self.rest)
-
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        parts = [f"{c}*v{m}" for m, c in enumerate(self.coeffs) if c != 0]
-        parts.append(str(self.rest))
-        return "Constraint(" + " + ".join(parts) + " >= 0)"
+def make_row(coeffs: Mapping[str, int], rest: Expr,
+             atoms: Atoms) -> LinConstraint:
+    """The row ``sum(coeffs[v] * v) + rest >= 0``: *rest* (invariant in
+    the index variables) is split into atoms, registered in *atoms*."""
+    row = dict(coeffs)
+    parts, const = linear_parts(rest)
+    for atom, c in parts.items():
+        key = "$" + to_str(atom)
+        atoms[key] = atom
+        row[key] = row.get(key, 0) + c
+    return LinConstraint(row, const)
 
 
 def constraint_from_bound(expr: Expr, names: Sequence[str],
-                          own_index: int, is_lower: bool) -> List[Constraint]:
-    """Constraints for ``x_k >= expr`` (lower) or ``x_k <= expr`` (upper).
+                          own_index: int, is_lower: bool,
+                          atoms: Atoms) -> List[LinConstraint]:
+    """Rows for ``x_k >= expr`` (lower) or ``x_k <= expr`` (upper), with
+    ``x_k = names[own_index]``.
 
-    A ``max`` lower bound / ``min`` upper bound contributes one constraint
-    per term.
+    A ``max`` lower bound / ``min`` upper bound contributes one row per
+    term.
     """
     if is_lower and isinstance(expr, Max):
         terms = expr.args
@@ -92,6 +91,8 @@ def constraint_from_bound(expr: Expr, names: Sequence[str],
         terms = expr.args
     else:
         terms = (expr,)
+    own = names[own_index]
+    sign = 1 if is_lower else -1  # x_k - term >= 0, or term - x_k >= 0
     out = []
     for term in terms:
         form = affine_form(term, names)
@@ -99,75 +100,73 @@ def constraint_from_bound(expr: Expr, names: Sequence[str],
             raise CodegenError(
                 f"bound {term} is not affine in {list(names)}; "
                 "unimodular codegen requires linear bounds")
-        coeffs = [form.coefficient(nm) for nm in names]
-        if is_lower:
-            # x_k - term >= 0
-            coeffs = [-c for c in coeffs]
-            coeffs[own_index] += 1
-            rest = neg(form.rest)
-        else:
-            # term - x_k >= 0
-            coeffs = list(coeffs)
-            coeffs[own_index] -= 1
-            rest = form.rest
-        out.append(Constraint(coeffs, rest).normalized())
+        coeffs = {v: -sign * c for v, c in form.coeffs.items()}
+        coeffs[own] = coeffs.get(own, 0) + sign
+        out.append(make_row(coeffs, mul(Const(-sign), form.rest), atoms))
     return out
 
 
-def transform_constraints(constraints: Sequence[Constraint],
-                          m_inverse: IntMatrix) -> List[Constraint]:
-    """Rewrite constraints over ``x`` into constraints over ``y = M x``
-    using ``x = M^-1 y`` — coefficient rows multiply by ``M^-1``."""
-    out = []
+def transform_constraints(rows: Sequence[LinConstraint],
+                          m_inverse: IntMatrix, x_names: Sequence[str],
+                          y_names: Sequence[str]) -> List[LinConstraint]:
+    """Rewrite rows over ``x`` into rows over ``y = M x`` using
+    ``x = M^-1 y``: index coefficient rows multiply by ``M^-1``, atoms
+    pass through."""
     n = m_inverse.nrows
-    for c in constraints:
-        if len(c.coeffs) != n:
-            raise ValueError("constraint arity mismatch")
-        new = [sum(c.coeffs[k] * m_inverse[k, j] for k in range(n))
-               for j in range(n)]
-        out.append(Constraint(new, c.rest).normalized())
-    return out
-
-
-def _dedupe_and_prune(constraints: List[Constraint]) -> List[Constraint]:
-    """Drop duplicates and constraints dominated by a same-coefficients
-    constraint with a provably smaller invariant part."""
-    by_coeffs: Dict[Tuple[int, ...], List[Constraint]] = {}
-    order: List[Tuple[int, ...]] = []
-    for c in constraints:
-        if c.coeffs not in by_coeffs:
-            by_coeffs[c.coeffs] = []
-            order.append(c.coeffs)
-        bucket = by_coeffs[c.coeffs]
-        replaced = False
-        for idx, other in enumerate(bucket):
-            diff = add(c.rest, neg(other.rest))
-            if isinstance(diff, Const):
-                # Same coefficients; smaller rest is tighter for ">= 0".
-                if diff.value < 0:
-                    bucket[idx] = c
-                replaced = True
-                break
-        if not replaced:
-            bucket.append(c)
+    if len(x_names) != n or len(y_names) != n:
+        raise ValueError("constraint arity mismatch")
     out = []
-    for key in order:
-        out.extend(by_coeffs[key])
+    for row in rows:
+        coeffs = {v: c for v, c in row.coeffs.items() if v not in x_names}
+        for j, y in enumerate(y_names):
+            coeffs[y] = sum(row.coeffs.get(x, 0) * m_inverse[k, j]
+                            for k, x in enumerate(x_names))
+        out.append(LinConstraint(coeffs, row.const))
     return out
 
 
-def _bound_exprs(constraints: Sequence[Constraint], level: int,
-                 names: Sequence[str]) -> Tuple[List[Expr], List[Expr]]:
-    """Lower/upper bound expressions for variable *level* (0-based) from
-    the constraints that mention it."""
+def _tighten(rows: Sequence[LinConstraint],
+             names: Sequence[str]) -> List[LinConstraint]:
+    """Scanning's post-pass: drop rows with no index variable,
+    floor-tighten rows over index variables only (sound for ``>= 0``),
+    and keep the tightest (smallest constant) row per coefficient
+    vector, in order of first appearance."""
+    index = set(names)
+    best: Dict[Tuple, LinConstraint] = {}
+    for row in rows:
+        if not any(v in index for v in row.coeffs):
+            continue
+        if all(v in index for v in row.coeffs):
+            g = gcd(*row.coeffs.values())
+            if g > 1:
+                row = LinConstraint(
+                    {v: c // g for v, c in row.coeffs.items()},
+                    row.const // g)
+        key = tuple(sorted(row.coeffs.items()))
+        old = best.get(key)
+        if old is None or row.const < old.const:
+            best[key] = row
+    return list(best.values())
+
+
+def _expr(row: LinConstraint, atoms: Atoms,
+          skip: Optional[str] = None) -> Expr:
+    """``row``'s left-hand side without the *skip* variable's term."""
+    terms = [mul(Const(c), atoms[v] if v in atoms else var(v))
+             for v, c in row.coeffs.items() if v != skip]
+    return add(*terms, Const(row.const))
+
+
+def _bound_exprs(rows: Sequence[LinConstraint], name: str,
+                 atoms: Atoms) -> Tuple[List[Expr], List[Expr]]:
+    """Lower/upper bound expressions for variable *name* from the rows
+    that mention it."""
     lowers, uppers = [], []
-    for c in constraints:
-        a = c.coeffs[level]
+    for row in rows:
+        a = row.coeffs.get(name, 0)
         if a == 0:
             continue
-        inner_terms = [mul(Const(c.coeffs[m]), var(names[m]))
-                       for m in range(level) if c.coeffs[m] != 0]
-        inner = add(*(inner_terms + [c.rest])) if inner_terms else c.rest
+        inner = _expr(row, atoms, name)
         if a > 0:
             lowers.append(ceildiv(neg(inner), Const(a)))
         else:
@@ -175,145 +174,78 @@ def _bound_exprs(constraints: Sequence[Constraint], level: int,
     return lowers, uppers
 
 
-def _eliminate(constraints: Sequence[Constraint],
-               level: int) -> List[Constraint]:
-    """Project out variable *level* (Fourier–Motzkin step)."""
-    kept, pos, neg_ = [], [], []
-    for c in constraints:
-        a = c.coeffs[level]
-        if a == 0:
-            kept.append(c)
-        elif a > 0:
-            pos.append(c)
-        else:
-            neg_.append(c)
-    for p in pos:
-        a = p.coeffs[level]
-        for q in neg_:
-            b = -q.coeffs[level]
-            coeffs = [b * cp + a * cq for cp, cq in zip(p.coeffs, q.coeffs)]
-            assert coeffs[level] == 0
-            rest = add(mul(Const(b), p.rest), mul(Const(a), q.rest))
-            combined = Constraint(coeffs, rest).normalized()
-            if not combined.is_trivial():
-                kept.append(combined)
-    kept = _dedupe_and_prune(kept)
-    cap = _guards.limits().max_fme_constraints
-    if len(kept) > cap:
-        raise CodegenError(
-            f"Fourier-Motzkin blowup: {len(kept)} constraints at level "
-            f"{level} (limit {cap}, REPRO_MAX_FME_CONSTRAINTS); the "
-            f"transformed polyhedron is too complex")
-    return kept
+def remove_redundant(rows: List[LinConstraint]) -> List[LinConstraint]:
+    """Drop rows implied by the rest of the system.
 
-
-def _rest_to_coeffs(rest: Expr, symtab: Dict[Expr, str]):
-    """Model a constraint's invariant part for the rational feasibility
-    checker: affine over invariant symbols when possible, otherwise a
-    single opaque symbol per distinct expression (sound relaxation)."""
-    from fractions import Fraction
-
-    from repro.expr.linear import affine_form
-    from repro.expr.nodes import Const, free_vars
-
-    form = affine_form(rest, sorted(free_vars(rest)))
-    if form is not None and isinstance(form.rest, Const):
-        coeffs = {f"inv${v}": Fraction(c) for v, c in form.coeffs.items()}
-        return coeffs, Fraction(form.rest.value)
-    key = symtab.setdefault(rest, f"opq${len(symtab)}")
-    return {key: Fraction(1)}, Fraction(0)
-
-
-def remove_redundant(constraints: List[Constraint]) -> List[Constraint]:
-    """Drop constraints implied by the rest of the system.
-
-    Exact over the rationals: *c* is redundant iff the system with *c*
+    Exact over the rationals: a row is redundant iff the system with it
     replaced by its strict negation (``-(lhs) - 1 >= 0`` over integers)
-    is infeasible.  Symbolic invariants are modeled as free variables, a
-    sound relaxation (it can only miss redundancies, never create them).
+    is infeasible.  Atoms are free variables of the system, a sound
+    relaxation (it can only miss redundancies, never create them).
     """
-    from fractions import Fraction
-
-    from repro.deps.analysis.linear_system import LinearSystem
-
-    if len(constraints) > 60:
-        return constraints
-    symtab: Dict[Expr, str] = {}
-
-    def lin(c: Constraint, negate: bool):
-        coeffs, const = _rest_to_coeffs(c.rest, symtab)
-        out = dict(coeffs)
-        for m, a in enumerate(c.coeffs):
-            if a != 0:
-                out[f"y${m}"] = out.get(f"y${m}", Fraction(0)) + a
-        if negate:
-            out = {v: -x for v, x in out.items()}
-            const = -const - 1
-        return out, const
-
-    kept = list(constraints)
+    if len(rows) > 60:
+        return rows
+    kept = list(rows)
     changed = True
     while changed:
         changed = False
         for idx in range(len(kept) - 1, -1, -1):
-            candidate = kept[idx]
+            row = kept[idx]
             system = LinearSystem()
-            for pos, other in enumerate(kept):
-                if pos == idx:
-                    continue
-                coeffs, const = lin(other, negate=False)
-                system.add_ge(coeffs, const)
-            coeffs, const = lin(candidate, negate=True)
-            system.add_ge(coeffs, const)
+            system.constraints = kept[:idx] + kept[idx + 1:] + [
+                LinConstraint({v: -c for v, c in row.coeffs.items()},
+                              -row.const - 1)]
             if not system.is_feasible():
                 kept.pop(idx)
                 changed = True
     return kept
 
 
-def scan_bounds(constraints: Sequence[Constraint],
-                names: Sequence[str],
+def scan_bounds(rows: Sequence[LinConstraint], names: Sequence[str],
+                atoms: Atoms,
                 prune_redundant: bool = True) -> List[Tuple[Expr, Expr]]:
     """Compute ``(lower, upper)`` bound expressions for every variable.
 
     *names* lists the output index variables outermost first; the bound
-    of variable *k* may reference variables ``0..k-1``.
-    ``prune_redundant`` removes implied constraints before each level's
-    bound extraction (so Figure 4(b) reads ``ii <= jj``, not
-    ``min(jj, n)``).
+    of variable *k* may reference variables ``0..k-1``.  *atoms* is the
+    table the rows' invariant atoms were registered in.
+    ``prune_redundant`` removes implied rows before each level's bound
+    extraction (so Figure 4(b) reads ``ii <= jj``, not ``min(jj, n)``).
     """
     n = len(names)
     bounds: List[Optional[Tuple[Expr, Expr]]] = [None] * n
-    # Variable-free input constraints: a constant falsehood makes the
-    # whole polyhedron empty (emit a statically empty nest); a constant
-    # truth is dropped; a symbolic one cannot be attached to any loop
-    # bound and is rejected.  (FM-*generated* variable-free constraints
-    # are different — their emptiness is reflected in some variable's
-    # max-lower/min-upper pair — and are dropped inside _eliminate.)
-    kept_input = []
-    for c in constraints:
-        if not c.is_trivial():
-            kept_input.append(c)
+    # Variable-free input rows: a constant falsehood makes the whole
+    # polyhedron empty (emit a statically empty nest); a constant truth
+    # is dropped; a symbolic one cannot be attached to any loop bound
+    # and is rejected.  (FM-*generated* variable-free rows are different
+    # — their emptiness is reflected in some variable's max-lower/
+    # min-upper pair — and are dropped by _tighten.)
+    for row in rows:
+        if any(v in row.coeffs for v in names):
             continue
-        if isinstance(c.rest, Const):
-            if c.rest.value < 0:
-                empty = [(Const(0), Const(-1))] + \
-                    [(Const(0), Const(0))] * (n - 1)
-                return empty[:n]
-            continue
-        raise CodegenError(
-            f"variable-free symbolic constraint {c.rest} >= 0 cannot be "
-            "expressed as a loop bound")
-    current = _dedupe_and_prune(kept_input)
+        if row.coeffs:
+            raise CodegenError(
+                f"variable-free symbolic constraint {_expr(row, atoms)}"
+                " >= 0 cannot be expressed as a loop bound")
+        if row.const < 0:
+            empty = [(Const(0), Const(-1))] + [(Const(0), Const(0))] * (n - 1)
+            return empty[:n]
+    cap = _guards.limits().max_fme_constraints
+    current = _tighten(rows, names)
     for level in range(n - 1, -1, -1):
         if prune_redundant:
             current = remove_redundant(current)
-        lowers, uppers = _bound_exprs(current, level, names)
+        lowers, uppers = _bound_exprs(current, names[level], atoms)
         if not lowers or not uppers:
             raise CodegenError(
                 f"variable {names[level]} is unbounded "
                 f"{'below' if not lowers else 'above'}; the input nest's "
                 "bounds do not define a scannable polyhedron")
         bounds[level] = (vmax(*lowers), vmin(*uppers))
-        current = _eliminate(current, level)
+        combined = _eliminate(current, names[level], cap)
+        if combined is None:
+            raise CodegenError(
+                f"Fourier-Motzkin blowup eliminating {names[level]}: more "
+                f"than {cap} constraints (REPRO_MAX_FME_CONSTRAINTS); the "
+                "transformed polyhedron is too complex")
+        current = _tighten(combined, names)
     return bounds  # type: ignore[return-value]

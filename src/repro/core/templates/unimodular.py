@@ -11,9 +11,11 @@ via interval arithmetic (:func:`repro.deps.rules.unimodular_map`).
 Preconditions (Table 3): for all ``1 <= i < j <= n``, ``type(l_j, x_i)``
 and ``type(u_j, x_i)`` at most ``linear`` and every step a compile-time
 constant.  Non-unit steps are normalized to step 1 first (emitting the
-normalization as initialization statements); bounds are then scanned with
-Fourier–Motzkin elimination under the change of basis ``y = M x``
-(:mod:`repro.core.fme`), and the initialization statements
+normalization as initialization statements); the bounds become integer
+constraint rows over the normalized indices and the bounds' invariant
+atoms (``n``, ``div(n, 2)``), are rewritten under the change of basis
+``y = M x`` and scanned with the dependence analyzer's Fourier–Motzkin
+kernel (:mod:`repro.core.fme`), and the initialization statements
 ``x = M^-1 y`` are generated.
 
 Output index naming follows the paper's example (Figure 1(b)): the new
@@ -32,12 +34,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.fme import (
-    Constraint,
+    Atoms,
     constraint_from_bound,
+    make_row,
     scan_bounds,
     transform_constraints,
 )
 from repro.core.template import Template, TransformedLoops, fresh_name
+from repro.deps.analysis.linear_system import LinConstraint
 from repro.deps.rules import unimodular_map
 from repro.deps.vector import DepVector
 from repro.expr.linear import BoundType, affine_form
@@ -136,11 +140,13 @@ class Unimodular(Template):
     def map_loops(self, loops: Sequence[Loop],
                   taken: Set[str]) -> TransformedLoops:
         self._require_depth(loops)
-        norm_names, norm_inits, constraints = _normalize(loops, taken)
+        atoms: Atoms = {}
+        norm_names, norm_inits, rows = _normalize(loops, taken, atoms)
 
         y_names = self._output_names(loops, taken)
-        transformed = transform_constraints(constraints, self._inverse)
-        bounds = scan_bounds(transformed, y_names)
+        transformed = transform_constraints(rows, self._inverse,
+                                            norm_names, y_names)
+        bounds = scan_bounds(transformed, y_names, atoms)
 
         out_loops = tuple(
             Loop(y_names[k], lo, hi, Const(1), DO)
@@ -172,20 +178,21 @@ class Unimodular(Template):
         return out
 
 
-def _normalize(loops: Sequence[Loop], taken: Set[str]
-               ) -> Tuple[List[str], List[InitStmt], List[Constraint]]:
+def _normalize(loops: Sequence[Loop], taken: Set[str], atoms: Atoms
+               ) -> Tuple[List[str], List[InitStmt], List[LinConstraint]]:
     """Normalize steps to 1 and extract the affine constraint system.
 
     Returns the normalized index names (one per loop; the original name
     when the step was already 1), the denormalizing INIT statements, and
-    the constraints over the normalized variables.  Avoiding an explicit
+    the constraint rows over the normalized variables (invariant atoms
+    registered in *atoms*).  Avoiding an explicit
     trip count keeps the system affine: a loop ``x = l, u, s`` becomes
     ``t >= 0`` together with ``l + s*t`` within ``[min(l,u*), max(..)]``
     in the direction of travel.
     """
     n = len(loops)
-    # First pass: pick every normalized index name up front so constraint
-    # coefficient vectors can have full arity n from the start.
+    # First pass: pick every normalized index name up front so every
+    # bound's affine form is taken over all of them.
     norm_names: List[str] = []
     for lp in loops:
         step = lp.step
@@ -198,7 +205,7 @@ def _normalize(loops: Sequence[Loop], taken: Set[str]
     inits: List[InitStmt] = []
     # Maps original index names to their expression over normalized vars.
     rewrite: Dict[str, Expr] = {}
-    constraints: List[Constraint] = []
+    constraints: List[LinConstraint] = []
 
     for k, lp in enumerate(loops):
         step_value = lp.step.value  # type: ignore[union-attr]
@@ -206,9 +213,9 @@ def _normalize(loops: Sequence[Loop], taken: Set[str]
         upper = substitute(lp.upper, rewrite)
         if step_value == 1:
             constraints.extend(constraint_from_bound(
-                lower, norm_names, k, is_lower=True))
+                lower, norm_names, k, is_lower=True, atoms=atoms))
             constraints.extend(constraint_from_bound(
-                upper, norm_names, k, is_lower=False))
+                upper, norm_names, k, is_lower=False, atoms=atoms))
             continue
         t_name = norm_names[k]
         value = add(lower, mul(Const(step_value), var(t_name)))
@@ -216,7 +223,7 @@ def _normalize(loops: Sequence[Loop], taken: Set[str]
         inits.append(InitStmt(lp.index, value))
         # t >= 0
         constraints.extend(constraint_from_bound(
-            Const(0), norm_names, k, is_lower=True))
+            Const(0), norm_names, k, is_lower=True, atoms=atoms))
         # End-of-range: the last in-range index value gives, for s > 0,
         # (u - l) - s*t >= 0 and, for s < 0, (l - u) + s*t... both reduce
         # to span - |s|*t >= 0 with span on the travel side.
@@ -229,7 +236,7 @@ def _normalize(loops: Sequence[Loop], taken: Set[str]
             raise CodegenError(
                 f"bounds of loop {lp.index} are not affine after step "
                 "normalization")
-        coeffs = [form.coefficient(nm) for nm in norm_names]
-        coeffs[k] -= abs(step_value)
-        constraints.append(Constraint(coeffs, form.rest).normalized())
+        coeffs = dict(form.coeffs)
+        coeffs[t_name] = coeffs.get(t_name, 0) - abs(step_value)
+        constraints.append(make_row(coeffs, form.rest, atoms))
     return norm_names, inits, constraints

@@ -23,6 +23,16 @@ dedup pass.  Variables are eliminated cheapest-first (fewest
 positive×negative row combinations), which defers — and usually
 avoids — the quadratic constraint blowup a fixed order runs into on
 mod/div-heavy subscripts.
+
+This module is the repository's one Fourier–Motzkin kernel: the
+Unimodular template's polyhedron scanning (:mod:`repro.core.fme`) runs
+the same :class:`LinConstraint` rows through the same :func:`_eliminate`
+step, in its own fixed innermost-first order.  Both share one safety
+valve, ``guards.limits().max_fme_constraints``
+(``REPRO_MAX_FME_CONSTRAINTS``), checked on the row count *before* a
+step combines rows.  On give-up this module answers "feasible"
+(conservative for dependence testing) and counts it on the
+``fme.give_up`` metric; codegen raises instead.
 """
 
 from __future__ import annotations
@@ -31,9 +41,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-#: Safety valve against FM blowup; beyond this we give up and report
-#: "feasible" (conservative for dependence testing).
-MAX_CONSTRAINTS = 4000
+from repro.obs import trace as _obs
+from repro.obs.metrics import get_metrics
+from repro.resilience import guards as _guards
 
 
 class LinConstraint:
@@ -140,14 +150,16 @@ class LinearSystem:
 
     def is_feasible(self) -> bool:
         """Rational feasibility via Fourier–Motzkin; conservative ``True``
-        when the elimination grows past :data:`MAX_CONSTRAINTS`."""
+        when a step would combine past the ``max_fme_constraints`` cap."""
+        cap = _guards.limits().max_fme_constraints
         ineqs = _dedupe(self._as_inequalities())
         while True:
             live = {v for c in ineqs for v in c.coeffs}
             if not live:
                 return True
-            ineqs = _eliminate(ineqs, _cheapest_var(ineqs, live))
+            ineqs = _eliminate(ineqs, _cheapest_var(ineqs, live), cap)
             if ineqs is None:
+                _count_give_up()
                 return True  # gave up: assume feasible
             for c in ineqs:
                 if not c.coeffs and c.const < 0:
@@ -162,13 +174,15 @@ class LinearSystem:
         up).  An infeasible system returns ``(None, None)``; callers
         should check :meth:`is_feasible` first when it matters.
         """
+        cap = _guards.limits().max_fme_constraints
         ineqs = _dedupe(self._as_inequalities())
         while True:
             live = {v for c in ineqs for v in c.coeffs} - {name}
             if not live:
                 break
-            ineqs = _eliminate(ineqs, _cheapest_var(ineqs, live))
+            ineqs = _eliminate(ineqs, _cheapest_var(ineqs, live), cap)
             if ineqs is None:
+                _count_give_up()
                 return None, None
             for c in ineqs:
                 if not c.coeffs and c.const < 0:
@@ -188,6 +202,11 @@ class LinearSystem:
         return lo, hi
 
 
+def _count_give_up() -> None:
+    if _obs.enabled():
+        get_metrics().counter("fme.give_up").inc()
+
+
 def _dedupe(ineqs: List[LinConstraint]) -> List[LinConstraint]:
     seen = set()
     out = []
@@ -204,7 +223,7 @@ def _cheapest_var(ineqs: Sequence[LinConstraint],
     """The candidate whose elimination creates the fewest combined rows
     (Fourier–Motzkin's classic min ``|pos|*|neg|`` heuristic); ties
     break alphabetically so elimination order — and therefore the
-    give-up behavior near :data:`MAX_CONSTRAINTS` — is deterministic."""
+    give-up behavior near the cap — is deterministic."""
     counts: Dict[str, List[int]] = {}
     for c in ineqs:
         for v, a in c.coeffs.items():
@@ -222,9 +241,10 @@ def _cheapest_var(ineqs: Sequence[LinConstraint],
     return best
 
 
-def _eliminate(ineqs: List[LinConstraint],
-               name: str) -> Optional[List[LinConstraint]]:
-    """One FM step; None signals a blowup give-up.
+def _eliminate(ineqs: List[LinConstraint], name: str,
+               cap: int) -> Optional[List[LinConstraint]]:
+    """Project out variable *name* (one FM step); None signals a blowup
+    give-up: the step would hold more than *cap* rows.
 
     Combination is by integer cross-multiplication — ``aq*p + ap*q``
     instead of ``p/ap + q/aq`` — so no rational arithmetic happens
@@ -240,7 +260,7 @@ def _eliminate(ineqs: List[LinConstraint],
             pos.append(c)
         else:
             neg.append(c)
-    if len(pos) * len(neg) + len(kept) > MAX_CONSTRAINTS:
+    if len(pos) * len(neg) + len(kept) > cap:
         return None
     for p in pos:
         ap = p.coeffs[name]

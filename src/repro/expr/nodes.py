@@ -283,30 +283,38 @@ def _sort_key(e: Expr):
     return (type(e).__name__, to_str(e))
 
 
-def add(*terms) -> Expr:
-    """Normalized sum of the given expressions/ints."""
-    flat = []
-    stack = [_coerce(t) for t in reversed(terms)]
+def _collect(terms) -> Tuple[Dict[Expr, int], int]:
+    """Flatten a sum of *terms* into (residual factor -> summed integer
+    coefficient, in first-appearance order; constant part)."""
+    constant = 0
+    buckets: Dict[Expr, int] = {}
+    stack = list(reversed(terms))
     while stack:
         t = stack.pop()
         if isinstance(t, Add):
             stack.extend(reversed(t.terms))
-        else:
-            flat.append(t)
-    constant = 0
-    buckets: Dict[Expr, int] = {}
-    order = []
-    for t in flat:
+            continue
         c, rest = _split_coeff(t)
         if rest is None:
             constant += c
-            continue
-        if rest not in buckets:
-            buckets[rest] = 0
-            order.append(rest)
-        buckets[rest] += c
+        else:
+            buckets[rest] = buckets.get(rest, 0) + c
+    return buckets, constant
+
+
+def linear_parts(e: Expr) -> Tuple[Dict[Expr, int], int]:
+    """*e* as ``sum(coeff * summand) + constant``: the distinct
+    non-constant summands of its :func:`add` normal form with their
+    nonzero integer coefficients, and the constant part."""
+    buckets, constant = _collect((e,))
+    return {r: c for r, c in buckets.items() if c != 0}, constant
+
+
+def add(*terms) -> Expr:
+    """Normalized sum of the given expressions/ints."""
+    buckets, constant = _collect([_coerce(t) for t in terms])
     result_terms = []
-    for rest in sorted(order, key=_sort_key):
+    for rest in sorted(buckets, key=_sort_key):
         c = buckets[rest]
         if c == 0:
             continue
@@ -452,36 +460,34 @@ def _fold_minmax(args, op: Callable[[int, int], int], cls):
         else:
             flat.append(a)
     constant = None
-    seen = []
+    seen = list(dict.fromkeys(a for a in flat if not isinstance(a, Const)))
     for a in flat:
         if isinstance(a, Const):
             constant = a.value if constant is None else op(constant, a.value)
-        elif a not in seen:
-            seen.append(a)
-    # Prune arguments dominated by another argument: if (x - y) folds to a
-    # constant we know which one wins.
+    # Prune arguments dominated by another argument: if sub(x, y) folds
+    # to a constant d we know which one wins (for Max x loses when
+    # d < 0, for Min when d > 0; ties keep the earlier argument).
+    # sub(x, y) folds exactly when x's summands cancel those of neg(y),
+    # and then d = const(x) + const(neg(y)), so arguments are grouped by
+    # summand signature instead of compared pairwise.  Each group keeps
+    # its two strongest rivals, ranked (sign * -const(neg(y)), -index).
+    sign = 1 if cls is Max else -1
+    rivals: Dict[frozenset, list] = {}
+    for idx, y in enumerate(seen):
+        parts, c = linear_parts(neg(y))
+        top = rivals.setdefault(
+            frozenset((r, -k) for r, k in parts.items()), [])
+        top.append(((-sign * c, -idx), idx))
+        top.sort(reverse=True)
+        del top[2:]
     pruned = []
-    for x in seen:
-        dominated = False
-        for y in seen:
-            if x is y:
-                continue
-            diff = sub(x, y)
-            if isinstance(diff, Const):
-                # For Max: x is dominated when x <= y, i.e. diff <= 0;
-                # ties keep the later element, so break ties by identity.
-                if cls is Max and (diff.value < 0 or
-                                   (diff.value == 0 and seen.index(y) < seen.index(x))):
-                    dominated = True
-                    break
-                if cls is Min and (diff.value > 0 or
-                                   (diff.value == 0 and seen.index(y) < seen.index(x))):
-                    dominated = True
-                    break
-        if not dominated:
+    for idx, x in enumerate(seen):
+        parts, c = linear_parts(x)
+        top = rivals.get(frozenset(parts.items()), ())
+        rival = next((rank for rank, j in top if j != idx), None)
+        if rival is None or rival < (sign * c, -idx):
             pruned.append(x)
-    seen = pruned
-    result = list(seen)
+    result = pruned
     if constant is not None:
         result.append(Const(constant))
     if not result:

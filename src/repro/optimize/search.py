@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from contextlib import nullcontext
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -243,46 +242,26 @@ class SearchConfig:
     model: Optional[object] = None
 
 
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SearchConfig))
 _DEFAULT_CONFIG = SearchConfig()
 
 
 def search(nest: LoopNest, deps: DepSet,
            candidates: Optional[Sequence[Template]] = None,
            config: Optional[SearchConfig] = None,
-           *args, **kwargs) -> SearchResult:
+           *args) -> SearchResult:
     """Beam search over candidate transformation sequences.
 
     See :func:`_search` for the full contract.  Tuning is a
-    :class:`SearchConfig` passed as ``config=``; the historical keyword
-    arguments (``score=..., depth=..., ...``) still work for one release
-    via a ``DeprecationWarning`` shim that folds them into a config.
-    Positional tuning arguments (removed) and mixing ``config=`` with
-    legacy keywords are errors.
+    :class:`SearchConfig` passed as ``config=`` (the defaults when
+    omitted); positional tuning arguments are an error.
     """
     if args or (config is not None and
                 not isinstance(config, SearchConfig)):
         raise TypeError(
             "search() positional tuning arguments were removed; pass "
             "config=SearchConfig(...)")
-    if config is not None:
-        if kwargs:
-            raise TypeError(
-                "search() got both config= and legacy keyword arguments: "
-                + ", ".join(sorted(kwargs)))
-        return _search(nest, deps, candidates, config)
-    if kwargs:
-        unknown = sorted(set(kwargs) - set(_CONFIG_FIELDS))
-        if unknown:
-            raise TypeError(
-                "search() got unexpected keyword argument(s): "
-                + ", ".join(unknown))
-        warnings.warn(
-            "passing search() tuning as keyword arguments is deprecated; "
-            "pass config=SearchConfig(...)",
-            DeprecationWarning, stacklevel=2)
-        return _search(nest, deps, candidates, SearchConfig(**kwargs))
-    return _search(nest, deps, candidates, _DEFAULT_CONFIG)
+    return _search(nest, deps, candidates,
+                   _DEFAULT_CONFIG if config is None else config)
 
 
 def _search(nest: LoopNest, deps: DepSet,

@@ -14,7 +14,7 @@ Robustness: a crashed worker's unfinished candidates are requeued once
 onto a fresh worker; a second failure degrades the search to in-process
 evaluation for the rest of the call.  Per-candidate wall-clock budgets
 (``candidate_timeout``) score overrunning candidates ``-inf`` in both
-serial and parallel modes.  :mod:`repro.parallel.faults` injects worker
+serial and parallel modes.  :mod:`repro.resilience.chaos` injects worker
 crashes and hangs for the robustness tests.
 """
 
@@ -41,12 +41,3 @@ __all__ = [
     "step_to_spec",
 ]
 
-
-def __getattr__(name: str):
-    """Deprecated ``*_wire`` aliases; :mod:`repro.parallel.worker` owns
-    the warning text and the mapping to the ``*_spec`` names."""
-    if name in ("step_to_wire", "step_from_wire",
-                "candidate_to_wire", "candidate_from_wire"):
-        from repro.parallel import worker
-        return getattr(worker, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

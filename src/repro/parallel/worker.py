@@ -9,10 +9,9 @@ step expects and the ``names`` tuple of a renaming Unimodular.  A
 candidate transformation travels as ``(input_depth, step_wires)``.
 The naming mirrors the templates' serialization protocol:
 ``step_to_spec``/``step_from_spec`` and ``candidate_to_spec``/
-``candidate_from_spec`` (the old ``*_to_wire``/``*_from_wire``
-spellings remain as deprecated aliases for one release).  Rebuilding
-goes through :func:`repro.core.spec.step_from_spec` **without**
-peephole reduction, mirroring how the search composes candidates
+``candidate_from_spec``.  Rebuilding goes through
+:func:`repro.core.spec.step_from_spec` **without** peephole
+reduction, mirroring how the search composes candidates
 (``base.then(step, reduce=False)``); :func:`step_roundtrips` verifies
 that the rebuilt step has the same legality-cache content key as the
 original, which is what makes worker-side cache deltas interchangeable
@@ -48,14 +47,12 @@ import signal
 import threading
 import time
 import traceback
-import warnings
 from typing import Callable, List, Optional, Tuple
 
 from repro.core import spec as spec_mod
 from repro.core.legality_cache import template_key
 from repro.core.sequence import Transformation
 from repro.core.template import Template
-from repro.parallel import faults
 from repro.resilience import chaos as _chaos
 from repro.util.errors import ReproError
 
@@ -110,27 +107,6 @@ def candidate_to_spec(candidate: Transformation) -> Tuple:
 def candidate_from_spec(wire: Tuple) -> Transformation:
     n, step_wires = wire
     return Transformation([step_from_spec(w) for w in step_wires], n=n)
-
-
-_DEPRECATED_WIRE_NAMES = {
-    "step_to_wire": step_to_spec,
-    "step_from_wire": step_from_spec,
-    "candidate_to_wire": candidate_to_spec,
-    "candidate_from_wire": candidate_from_spec,
-}
-
-
-def __getattr__(name: str):
-    """Deprecated aliases for the pre-normalization wire-form names."""
-    fn = _DEPRECATED_WIRE_NAMES.get(name)
-    if fn is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"repro.parallel.worker.{name} is deprecated; use "
-        f"{fn.__name__} (the to_spec/from_spec wire-form naming)",
-        DeprecationWarning, stacklevel=2)
-    return fn
 
 
 # -- per-candidate wall-clock budget ---------------------------------------
@@ -234,7 +210,7 @@ def evaluate_wire(wire: Tuple, kind: str, index: int, nest, deps, score,
         return False, None, False, delta
 
     def scored():
-        faults.maybe_hang(kind, index)
+        _chaos.maybe_hang(kind, index)
         return score(candidate, nest, deps)
 
     value, timed_out = call_with_timeout(scored, timeout)
@@ -269,7 +245,7 @@ def worker_main(worker_id: int, kind: str, shard: List[Tuple[int, Tuple]],
             root_sp = root_cm.__enter__()
     try:
         for index, wire in shard:
-            faults.maybe_crash(kind, index)
+            _chaos.maybe_crash(kind, index)
             try:
                 # error-kind chaos rides the exception transport back to
                 # the parent (like any worker-side raise); crash/hang

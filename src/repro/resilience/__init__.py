@@ -7,8 +7,8 @@ correctly while the world misbehaves.
     A unified fault-injection registry with named injection points
     threaded through the whole pipeline (``ir.parse``,
     ``deps.analysis``, ``legality``, ``compiled.codegen``,
-    ``service.dispatch``, ``pool.worker``).  Subsumes the PR-3
-    pool-only :mod:`repro.parallel.faults` module.
+    ``service.dispatch``, ``pool.worker``), plus the index-addressed
+    pool-worker :class:`~repro.resilience.chaos.FaultPlan`.
 
 :mod:`repro.resilience.supervisor`
     A process supervisor for ``repro serve``: heartbeat-based crash and

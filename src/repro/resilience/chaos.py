@@ -48,8 +48,8 @@ the point fire, later ones pass through.  Firing counts persist to the
 crashed on its budgeted firing does **not** crash again after restart —
 without the state file every ``crash`` rule would be a crash loop.
 
-:class:`FaultPlan` and its hooks — the PR-3 pool-only fault layer —
-now live here; :mod:`repro.parallel.faults` re-exports them unchanged.
+:class:`FaultPlan` and its hooks are the index-addressed pool-worker
+fault layer.
 """
 
 from __future__ import annotations
@@ -313,8 +313,7 @@ def snapshot() -> Optional[Dict[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# The PR-3 pool fault layer (moved here verbatim; repro.parallel.faults
-# re-exports these names).  Index-addressed worker faults complement the
+# The pool fault layer.  Index-addressed worker faults complement the
 # point-addressed rules above: a FaultPlan perturbs specific candidates
 # of specific worker generations, which the pool differential tests
 # need; a ChaosPlan perturbs layers.

@@ -15,10 +15,16 @@ first use)::
     REPRO_MAX_EXPR_DEPTH        expression parser recursion depth (150)
     REPRO_MAX_SOURCE_BYTES      parser input size            (1_000_000)
     REPRO_MAX_NEST_DEPTH        loop-nest nesting depth             (64)
-    REPRO_MAX_FME_CONSTRAINTS   Fourier–Motzkin working set       (2000)
+    REPRO_MAX_FME_CONSTRAINTS   Fourier–Motzkin rows per step     (4000)
     REPRO_MAX_ITERATIONS        compiled-run iteration count (2_000_000)
     REPRO_MAX_FRAME_BYTES       service NDJSON frame size    (1_000_000)
     REPRO_MAX_RSS_MB            soft RSS ceiling, MB          (disabled)
+
+``REPRO_MAX_FME_CONSTRAINTS`` bounds the one Fourier–Motzkin kernel
+both engines share (:mod:`repro.deps.analysis.linear_system`): a step
+that would hold more rows, counted before it combines them, gives up —
+dependence analysis then answers "feasible", Unimodular codegen raises
+a :class:`~repro.util.errors.CodegenError`.
 
 The RSS guard is *soft*: it is checked between requests (the service
 consults :func:`check_rss` before dispatching), so one request may
@@ -65,7 +71,7 @@ class GuardLimits:
                  max_expr_depth: int = 150,
                  max_source_bytes: int = 1_000_000,
                  max_nest_depth: int = 64,
-                 max_fme_constraints: int = 2000,
+                 max_fme_constraints: int = 4000,
                  max_iterations: int = 2_000_000,
                  max_frame_bytes: int = 1_000_000,
                  max_rss_mb: Optional[int] = None):
@@ -84,7 +90,7 @@ class GuardLimits:
             max_expr_depth=_env_int("REPRO_MAX_EXPR_DEPTH", 150),
             max_source_bytes=_env_int("REPRO_MAX_SOURCE_BYTES", 1_000_000),
             max_nest_depth=_env_int("REPRO_MAX_NEST_DEPTH", 64),
-            max_fme_constraints=_env_int("REPRO_MAX_FME_CONSTRAINTS", 2000),
+            max_fme_constraints=_env_int("REPRO_MAX_FME_CONSTRAINTS", 4000),
             max_iterations=_env_int("REPRO_MAX_ITERATIONS", 2_000_000),
             max_frame_bytes=_env_int("REPRO_MAX_FRAME_BYTES", 1_000_000),
             max_rss_mb=rss or None)

@@ -61,7 +61,13 @@ def test_every_facade_name_resolves_and_is_the_canonical_object():
 
 def test_facade_pipeline_end_to_end():
     """The quickstart documented in the module docstring actually runs."""
-    from repro.api import Transformation, analyze, parse_nest, search
+    from repro.api import (
+        SearchConfig,
+        Transformation,
+        analyze,
+        parse_nest,
+        search,
+    )
 
     nest = parse_nest("""
     do i = 2, n-1
@@ -74,7 +80,7 @@ def test_facade_pipeline_end_to_end():
     transformation = Transformation.from_spec("interchange(1,2)",
                                               nest.depth)
     assert transformation.legality(nest, deps).legal
-    result = search(nest, deps, depth=1, beam=4)
+    result = search(nest, deps, config=SearchConfig(depth=1, beam=4))
     assert result.explored > 1
 
 

@@ -1,11 +1,9 @@
-"""Deprecation shims: one release of grace, loudly.
+"""Retired deprecation shims stay retired.
 
-The PR that moved search tuning behind ``SearchConfig`` keeps the
-historical keyword arguments working behind a ``DeprecationWarning``
-(the positional-tuning shim of the release before is now fully
-retired); the ``*_wire`` -> ``*_spec`` renames likewise keep their old
-spellings for one release.  These tests pin both the warnings and the
-unchanged behaviour.
+Search tuning is a ``SearchConfig`` passed as ``config=``: the
+historical keyword arguments and positional tuning, each past its
+one-release deprecation, are now plain ``TypeError``s, and the
+``config=`` form never warns.
 """
 
 from __future__ import annotations
@@ -32,18 +30,10 @@ def nest_deps():
     return nest, analyze(nest)
 
 
-def test_keyword_search_warns_and_matches_config(nest_deps):
+def test_legacy_keywords_are_a_type_error(nest_deps):
     nest, deps = nest_deps
-    with pytest.warns(DeprecationWarning, match="SearchConfig"):
-        old = search(nest, deps, score=parallelism_score, depth=1, beam=4)
-    new = search(nest, deps,
-                 config=SearchConfig(score=parallelism_score, depth=1,
-                                     beam=4))
-    assert old.score == new.score
-    assert old.explored == new.explored
-    assert old.legal_count == new.legal_count
-    assert (old.transformation.signature() ==
-            new.transformation.signature())
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        search(nest, deps, score=parallelism_score, depth=1, beam=4)
 
 
 def test_config_search_does_not_warn(nest_deps):
@@ -60,43 +50,7 @@ def test_positional_tuning_is_now_a_type_error(nest_deps):
         search(nest, deps, None, parallelism_score, 1, 4)
 
 
-def test_config_plus_legacy_keywords_is_a_type_error(nest_deps):
-    nest, deps = nest_deps
-    with pytest.raises(TypeError, match="both config="):
-        search(nest, deps, config=SearchConfig(depth=1), beam=4)
-
-
 def test_unknown_keyword_is_a_type_error(nest_deps):
     nest, deps = nest_deps
     with pytest.raises(TypeError, match="unexpected keyword"):
         search(nest, deps, depht=1)
-
-
-@pytest.mark.parametrize("old,new", [
-    ("step_to_wire", "step_to_spec"),
-    ("step_from_wire", "step_from_spec"),
-    ("candidate_to_wire", "candidate_to_spec"),
-    ("candidate_from_wire", "candidate_from_spec"),
-])
-def test_old_wire_names_warn_and_delegate(old, new):
-    import repro.parallel as parallel
-    from repro.parallel import worker
-
-    with pytest.warns(DeprecationWarning, match=new):
-        via_package = getattr(parallel, old)
-    with pytest.warns(DeprecationWarning, match=new):
-        via_module = getattr(worker, old)
-    assert via_package is getattr(worker, new)
-    assert via_module is getattr(worker, new)
-
-
-def test_old_wire_functions_still_roundtrip():
-    from repro.api import ReversePermute
-    from repro.parallel import worker
-
-    step = ReversePermute(2, [False, False], [2, 1])
-    with pytest.warns(DeprecationWarning):
-        wire = worker.step_to_wire(step)
-    with pytest.warns(DeprecationWarning):
-        back = worker.step_from_wire(wire)
-    assert back.signature() == step.signature()

@@ -382,12 +382,13 @@ def test_worker_argv_adds_trace_flag_only_when_tracing(tmp_path):
 
 @pytest.mark.slow
 def test_pool_children_ship_candidate_spans(tracer):
-    from repro.optimize.search import search
+    from repro.optimize.search import SearchConfig, search
 
     nest = parse_nest(STENCIL)
     deps = analyze(nest)
     with distributed.start_trace("client.request", op="search"):
-        result = search(nest, deps, depth=1, beam=4, jobs=2)
+        result = search(nest, deps,
+                        config=SearchConfig(depth=1, beam=4, jobs=2))
     assert result.explored > 0
     records = distributed.get_collector().all_records()
     names = [r["name"] for r in records]
@@ -403,12 +404,12 @@ def test_pool_children_ship_candidate_spans(tracer):
 
 
 def test_pool_ships_nothing_while_disabled():
-    from repro.optimize.search import search
+    from repro.optimize.search import SearchConfig, search
 
     distributed.get_collector().clear()
     nest = parse_nest(STENCIL)
     deps = analyze(nest)
-    search(nest, deps, depth=1, beam=4, jobs=2)
+    search(nest, deps, config=SearchConfig(depth=1, beam=4, jobs=2))
     assert len(distributed.get_collector()) == 0
 
 

@@ -307,3 +307,110 @@ class TestDivChainSimplification:
         assert evaluate(e, {"i": x}) == (x // m) // n_
         e2 = ceildiv(ceildiv(i, m), n_)
         assert evaluate(e2, {"i": x}) == -((-(-((-x) // m))) // n_)
+
+
+def _pairwise_fold(args, op, cls):
+    """Reference: the pairwise ``min``/``max`` fold — every argument
+    compared with every other through a symbolic ``sub``."""
+    flat = []
+    stack = list(reversed(args))
+    while stack:
+        a = stack.pop()
+        if isinstance(a, cls):
+            stack.extend(reversed(a.args))
+        else:
+            flat.append(a)
+    constant = None
+    seen = []
+    for a in flat:
+        if isinstance(a, Const):
+            constant = a.value if constant is None else op(constant, a.value)
+        elif a not in seen:
+            seen.append(a)
+    pruned = []
+    for x in seen:
+        dominated = False
+        for y in seen:
+            if x is y:
+                continue
+            diff = sub(x, y)
+            if isinstance(diff, Const):
+                later = seen.index(y) < seen.index(x)
+                if cls is Max and (diff.value < 0 or
+                                   (diff.value == 0 and later)):
+                    dominated = True
+                    break
+                if cls is Min and (diff.value > 0 or
+                                   (diff.value == 0 and later)):
+                    dominated = True
+                    break
+        if not dominated:
+            pruned.append(x)
+    result = pruned + ([Const(constant)] if constant is not None else [])
+    if len(result) == 1:
+        return result[0]
+    result.sort(key=lambda e: (type(e).__name__, to_str(e)))
+    return cls(tuple(result))
+
+
+#: 64 distinct summands: a sum of them is at the distribution limit,
+#: one more term (its constant) puts it past it.
+WIDE = [var(f"x{k}") for k in range(64)]
+
+
+def _random_minmax_arg(rng):
+    kind = rng.random()
+    if kind < 0.15:
+        # Around the distribution limit: neg() of a sum with more than
+        # 64 terms stays factored, so the pairwise rule never folds it.
+        extra = [var("x64")] if rng.random() < 0.3 else []
+        return add(*WIDE, *extra, Const(rng.choice([0, 0, 1, -2, 3])))
+    if kind < 0.25:
+        inner = [_random_minmax_arg(rng) for _ in range(rng.randint(1, 3))]
+        return rng.choice([vmin, vmax])(*inner)
+    if kind < 0.35:
+        return Const(rng.randint(-3, 3))
+    atoms = [i, j, n, floordiv(n, 2), mul(i, j), mod(i, 3)]
+    terms = [mul(Const(rng.randint(-2, 2)), a)
+             for a in rng.sample(atoms, rng.randint(1, 3))]
+    arg = add(*terms, Const(rng.randint(-3, 3)))
+    if kind < 0.45 and isinstance(arg, Add):
+        # Not in normal form: structurally distinct from ``arg`` yet
+        # equal to it under ``sub``, so the fold's tie rule decides.
+        return Mul((Const(1), arg))
+    return arg
+
+
+@given(st.integers(0, 10**9))
+def test_minmax_fold_matches_pairwise_rule(seed):
+    rng = random.Random(seed)
+    args = [_random_minmax_arg(rng) for _ in range(rng.randint(1, 12))]
+    # Repeat some arguments up to a constant shift, so groups form.
+    for a in rng.sample(args, len(args) // 2):
+        args.append(add(a, Const(rng.randint(-2, 2))))
+    rng.shuffle(args)
+    assert vmin(*args) == _pairwise_fold(args, min, Min)
+    assert vmax(*args) == _pairwise_fold(args, max, Max)
+
+
+def test_minmax_fold_is_not_pairwise(monkeypatch):
+    """One ``vmin`` over 700 mutually incomparable terms (the shape that
+    made Wavefront legality hang) must not compare every pair through a
+    symbolic ``sub``."""
+    import repro.expr.nodes as nodes
+
+    terms = [add(mul(Const(k), i), mul(Const(700 - k), j), Const(k % 5))
+             for k in range(700)]
+    calls = []
+    real_sub = nodes.sub
+
+    def counting_sub(a, b):
+        calls.append(1)
+        if len(calls) > len(terms):
+            raise AssertionError("min/max fold compares arguments pairwise")
+        return real_sub(a, b)
+
+    monkeypatch.setattr(nodes, "sub", counting_sub)
+    result = vmin(*terms)
+    assert isinstance(result, Min) and len(result.args) == 700
+    assert len(calls) <= len(terms)

@@ -26,7 +26,7 @@ from repro.deps import DepEntry, DepSet, DepVector, depset
 from repro.expr.nodes import Const, var
 from repro.ir import Loop, LoopNest, parse_nest
 from repro.ir.loopnest import ArrayRef, Assign
-from repro.optimize.search import default_candidates, search
+from repro.optimize.search import SearchConfig, default_candidates, search
 from repro.util.matrices import IntMatrix
 
 
@@ -161,8 +161,8 @@ def test_search_with_cache_matches_uncached_search():
 
     nest = rectangular_nest(3)
     deps = depset((1, 0, "0+"), (0, 0, 1))
-    plain = search(nest, deps, cache=Passthrough())
-    cached = search(nest, deps, cache=LegalityCache())
+    plain = search(nest, deps, config=SearchConfig(cache=Passthrough()))
+    cached = search(nest, deps, config=SearchConfig(cache=LegalityCache()))
     assert plain.score == cached.score
     assert plain.explored == cached.explored
     assert plain.legal_count == cached.legal_count

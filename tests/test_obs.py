@@ -17,7 +17,7 @@ from repro.deps.analysis import analyze
 from repro.ir import parse_nest
 from repro.obs.metrics import Metrics, bucket_key
 from repro.obs.trace import Tracer
-from repro.optimize.search import search
+from repro.optimize.search import SearchConfig, search
 
 MATMUL = """
 do i = 1, n
@@ -196,8 +196,8 @@ class TestInstrumentedPipeline:
         nest = parse_nest(MATMUL)
         deps = depset((0, 0, "+"))
         cache = LegalityCache()
-        first = search(nest, deps, cache=cache)
-        second = search(nest, deps, cache=cache)
+        first = search(nest, deps, config=SearchConfig(cache=cache))
+        second = search(nest, deps, config=SearchConfig(cache=cache))
         # Cumulative: the reused cache turns repeat queries into hits.
         assert second.cache_stats["hits"] > first.cache_stats["hits"]
 

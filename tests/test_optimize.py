@@ -23,6 +23,7 @@ from repro.optimize import (
     search,
     tilable_ranges,
 )
+from repro.optimize.search import SearchConfig
 from repro.runtime import check_equivalence
 from repro.util.errors import ReproError
 from tests.conftest import random_array_2d
@@ -172,7 +173,8 @@ class TestTiler:
 class TestSearch:
     def test_finds_parallelism(self, matmul_nest):
         deps = depset((0, 0, "+"))
-        result = search(matmul_nest, deps, depth=2, beam=6)
+        result = search(matmul_nest, deps,
+                        config=SearchConfig(depth=2, beam=6))
         assert result.transformation is not None
         out = result.transformation.apply(matmul_nest, deps)
         assert any(lp.kind == PARDO for lp in out.loops)
@@ -185,11 +187,12 @@ class TestSearch:
         enddo
         """)
         deps = depset((1,))
-        result = search(nest, deps, depth=1,
-                        score=parallelism_score)
+        result = search(nest, deps,
+                        config=SearchConfig(depth=1, score=parallelism_score))
         assert len(result.transformation) == 0
 
     def test_search_never_mutates_nest(self, matmul_nest):
         before = matmul_nest.pretty()
-        search(matmul_nest, depset((0, 0, "+")), depth=1)
+        search(matmul_nest, depset((0, 0, "+")),
+               config=SearchConfig(depth=1))
         assert matmul_nest.pretty() == before

@@ -30,8 +30,9 @@ from repro.optimize.search import (
     make_locality_score,
     parallelism_score,
     search,
+    SearchConfig,
 )
-from repro.parallel import faults
+from repro.resilience import chaos
 from repro.parallel.worker import (
     call_with_timeout,
     candidate_from_spec,
@@ -58,7 +59,7 @@ enddo
 @pytest.fixture(autouse=True)
 def _no_leftover_faults():
     yield
-    faults.clear()
+    chaos.clear()
 
 
 def assert_identical(serial, parallel):
@@ -79,8 +80,9 @@ def test_jobs2_identical_across_corpus(path):
     case = load_case(path)
     nest = parse_nest(case["nest"])
     deps = analyze(nest)
-    serial = search(nest, deps, depth=2, beam=6)
-    parallel = search(nest, deps, depth=2, beam=6, jobs=2)
+    serial = search(nest, deps, config=SearchConfig(depth=2, beam=6))
+    parallel = search(nest, deps,
+                      config=SearchConfig(depth=2, beam=6, jobs=2))
     assert_identical(serial, parallel)
     assert serial.parallel is None
     stats = parallel.parallel
@@ -103,8 +105,10 @@ def test_jobs4_identical_with_locality_score():
         layout.register(name, [(1, n), (1, n)])
     arrays = {name: Array(0, name) for name in ("A", "B", "C")}
     score = make_locality_score(arrays, {"n": n}, layout)
-    serial = search(nest, deps, score=score, depth=1, beam=4)
-    parallel = search(nest, deps, score=score, depth=1, beam=4, jobs=4)
+    serial = search(nest, deps,
+                    config=SearchConfig(score=score, depth=1, beam=4))
+    parallel = search(nest, deps, config=SearchConfig(score=score, depth=1,
+                                                      beam=4, jobs=4))
     assert_identical(serial, parallel)
 
 
@@ -113,9 +117,11 @@ def test_shared_cache_keeps_serving_after_parallel_search(matmul_nest):
     serial search on the same cache hits them."""
     deps = depset((0, 0, "+"))
     cache = LegalityCache()
-    search(matmul_nest, deps, depth=2, beam=6, jobs=2, cache=cache)
+    search(matmul_nest, deps,
+           config=SearchConfig(depth=2, beam=6, jobs=2, cache=cache))
     after = dict(cache.stats)
-    rerun = search(matmul_nest, deps, depth=2, beam=6, cache=cache)
+    rerun = search(matmul_nest, deps,
+                   config=SearchConfig(depth=2, beam=6, cache=cache))
     # The rerun asks about content-identical candidates only: all
     # verdict lookups hit, nothing is recomputed.
     assert rerun.cache_stats["misses"] == after["misses"]
@@ -129,10 +135,11 @@ def test_shared_cache_keeps_serving_after_parallel_search(matmul_nest):
 
 def test_worker_crash_requeues_once_and_results_match(matmul_nest):
     deps = depset((0, 0, "+"))
-    serial = search(matmul_nest, deps, depth=2, beam=6)
-    faults.install(faults.FaultPlan(crash_indices={0},
-                                    kinds=("primary",)))
-    parallel = search(matmul_nest, deps, depth=2, beam=6, jobs=2)
+    serial = search(matmul_nest, deps, config=SearchConfig(depth=2, beam=6))
+    chaos.install(chaos.FaultPlan(crash_indices={0},
+                                  kinds=("primary",)))
+    parallel = search(matmul_nest, deps,
+                      config=SearchConfig(depth=2, beam=6, jobs=2))
     assert_identical(serial, parallel)
     stats = parallel.parallel
     assert stats["crashes"] >= 1
@@ -142,10 +149,11 @@ def test_worker_crash_requeues_once_and_results_match(matmul_nest):
 
 def test_repeated_crash_degrades_to_serial_and_results_match(matmul_nest):
     deps = depset((0, 0, "+"))
-    serial = search(matmul_nest, deps, depth=2, beam=6)
-    faults.install(faults.FaultPlan(crash_indices={0},
-                                    kinds=("primary", "requeue")))
-    parallel = search(matmul_nest, deps, depth=2, beam=6, jobs=2)
+    serial = search(matmul_nest, deps, config=SearchConfig(depth=2, beam=6))
+    chaos.install(chaos.FaultPlan(crash_indices={0},
+                                  kinds=("primary", "requeue")))
+    parallel = search(matmul_nest, deps,
+                      config=SearchConfig(depth=2, beam=6, jobs=2))
     assert_identical(serial, parallel)
     stats = parallel.parallel
     assert stats["degraded"]
@@ -161,9 +169,10 @@ def test_unserializable_menu_degrades_but_still_searches(matmul_nest):
 
     menu = [Opaque(3, [False] * 3, [2, 1, 3])] + default_candidates(3)
     deps = depset((0, 0, "+"))
-    serial = search(matmul_nest, deps, candidates=menu, depth=2, beam=6)
-    parallel = search(matmul_nest, deps, candidates=menu, depth=2, beam=6,
-                      jobs=2)
+    serial = search(matmul_nest, deps, candidates=menu,
+                    config=SearchConfig(depth=2, beam=6))
+    parallel = search(matmul_nest, deps, candidates=menu,
+                      config=SearchConfig(depth=2, beam=6, jobs=2))
     assert_identical(serial, parallel)
     assert parallel.parallel["degraded"]
     assert "round-trip" in parallel.parallel["degrade_reason"]
@@ -175,10 +184,11 @@ def test_cache_without_delta_protocol_degrades(matmul_nest):
             return transformation.legality(nest, deps)
 
     deps = depset((0, 0, "+"))
-    serial = search(matmul_nest, deps, depth=1, beam=6,
-                    cache=PlainPolicy())
-    parallel = search(matmul_nest, deps, depth=1, beam=6,
-                      cache=PlainPolicy(), jobs=2)
+    serial = search(matmul_nest, deps,
+                    config=SearchConfig(depth=1, beam=6, cache=PlainPolicy()))
+    parallel = search(matmul_nest, deps,
+                      config=SearchConfig(depth=1, beam=6,
+                                          cache=PlainPolicy(), jobs=2))
     assert parallel.transformation.signature() == \
         serial.transformation.signature()
     assert parallel.parallel["degraded"]
@@ -193,8 +203,8 @@ def test_worker_exception_propagates_to_parent(matmul_nest):
 
     deps = depset((0, 0, "+"))
     with pytest.raises(TypeError, match="scoring fn is broken"):
-        search(matmul_nest, deps, depth=1, beam=4, jobs=2,
-               score=bad_score)
+        search(matmul_nest, deps, config=SearchConfig(depth=1, beam=4, jobs=2,
+                                                      score=bad_score))
 
 
 # -- per-candidate timeouts -------------------------------------------------
@@ -207,9 +217,9 @@ def test_timeout_scores_neg_inf_serially(matmul_nest):
 
     deps = depset((0, 0, "+"))
     start = time.monotonic()
-    result = search(matmul_nest, deps, depth=1, beam=4,
-                    candidates=[interchange(3, 1, 2)], score=slow_score,
-                    candidate_timeout=0.2)
+    result = search(matmul_nest, deps, candidates=[interchange(3, 1, 2)],
+                    config=SearchConfig(depth=1, beam=4, score=slow_score,
+                                        candidate_timeout=0.2))
     assert time.monotonic() - start < 5.0
     assert result.timeouts == 1
     assert len(result.transformation) == 0  # identity wins at 0.0
@@ -217,12 +227,13 @@ def test_timeout_scores_neg_inf_serially(matmul_nest):
 
 
 def test_timeout_applies_inside_workers(matmul_nest):
-    faults.install(faults.FaultPlan(hang_indices={1}, hang_seconds=20.0,
-                                    kinds=("primary",)))
+    chaos.install(chaos.FaultPlan(hang_indices={1}, hang_seconds=20.0,
+                                  kinds=("primary",)))
     deps = depset((0, 0, "+"))
     start = time.monotonic()
-    result = search(matmul_nest, deps, depth=1, beam=6, jobs=2,
-                    candidate_timeout=0.3)
+    result = search(matmul_nest, deps,
+                    config=SearchConfig(depth=1, beam=6, jobs=2,
+                                        candidate_timeout=0.3))
     assert time.monotonic() - start < 20.0
     assert result.timeouts >= 1
     assert result.parallel["timeouts"] >= 1
@@ -260,8 +271,9 @@ def test_nan_score_cannot_win_or_scramble_the_beam(matmul_nest, jobs):
         return 1.5
 
     deps = depset((0, 0, "+"))
-    result = search(matmul_nest, deps, depth=2, beam=6, jobs=jobs,
-                    score=nan_score)
+    result = search(matmul_nest, deps,
+                    config=SearchConfig(depth=2, beam=6, jobs=jobs,
+                                        score=nan_score))
     assert len(result.transformation) == 0
     assert result.score == 1.5
     assert not math.isnan(result.score)

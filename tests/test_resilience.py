@@ -175,13 +175,15 @@ def test_service_maps_chaos_to_unavailable():
 def test_pool_worker_chaos_differential():
     """jobs=2 search with a worker crash must match jobs=1 fault-free
     (the pool requeues the dead worker's shard)."""
-    from repro.optimize.search import search
+    from repro.optimize.search import SearchConfig, search
 
     nest = parse_nest(STENCIL)
     deps = analyze(nest, level="fm")
-    serial = search(nest, deps, depth=1, beam=4, jobs=1)
+    serial = search(nest, deps,
+                    config=SearchConfig(depth=1, beam=4, jobs=1))
     with armed("pool.worker:crash:1"):
-        forked = search(nest, deps, depth=1, beam=4, jobs=2)
+        forked = search(nest, deps,
+                        config=SearchConfig(depth=1, beam=4, jobs=2))
     assert forked.explored == serial.explored
     assert forked.legal_count == serial.legal_count
     assert forked.score == serial.score

@@ -11,6 +11,7 @@ from repro.core.templates.reverse_permute import interchange
 from repro.deps import depset
 from repro.ir import parse_nest
 from repro.optimize import make_locality_score, search
+from repro.optimize.search import SearchConfig
 from repro.runtime import Array
 from tests.conftest import random_array_2d
 
@@ -60,7 +61,8 @@ def test_search_finds_the_interchange(column_walker):
         arrays, {"n": n}, _layout(n),
         CacheConfig(size_bytes=512, line_bytes=64, associativity=2))
     deps = depset(("0+", "0+"))
-    result = search(column_walker, deps, score=score, depth=1, beam=4)
+    result = search(column_walker, deps,
+                    config=SearchConfig(score=score, depth=1, beam=4))
     assert result.transformation is not None
     out = result.transformation.apply(column_walker, deps, check=False)
     # The winner walks the row-major array with j (the fastest-varying

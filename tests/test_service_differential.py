@@ -12,7 +12,14 @@ import json
 
 import pytest
 
-from repro.api import LegalityCache, Transformation, analyze, parse_nest, search
+from repro.api import (
+    LegalityCache,
+    SearchConfig,
+    Transformation,
+    analyze,
+    parse_nest,
+    search,
+)
 from repro.optimize.search import parallelism_score
 from repro.service import TransformationService
 
@@ -88,8 +95,10 @@ def test_search_matches_in_process(jobs, src, depth, beam):
 
     nest = parse_nest(src)
     deps = analyze(nest)
-    expected = search(nest, deps, score=parallelism_score, depth=depth,
-                      beam=beam, cache=LegalityCache())
+    expected = search(nest, deps,
+                      config=SearchConfig(score=parallelism_score,
+                                          depth=depth, beam=beam,
+                                          cache=LegalityCache()))
     winner = expected.transformation
     assert got["winner"] == (winner.signature() if winner else None)
     assert got["spec"] == (winner.to_spec() if winner is not None
