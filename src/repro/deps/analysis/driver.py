@@ -16,6 +16,25 @@ Pipeline (standard practice per the paper's references [4, 15, 10, 6, 12]):
 5. refine surviving leaves to distances where the system forces a
    constant difference, and emit the paper-domain dependence vectors.
 
+What does not depend on the pair is built once per analyzer and shared
+by every pair problem: the loop-bound rows over both iteration copies
+(``$1``/``$2``), the constant loop ranges the Banerjee tier reads, and
+the direction rows the enumeration appends.  Shared rows
+carry their cached dedupe keys and equality splits
+(:mod:`repro.deps.analysis.linear_system`) from pair to pair.
+
+Pairs with identical subscripts — the write→read, read→write and
+write→write pairs of ``a(i,j) = a(i,j) + ...`` — pose the same problem,
+so one :meth:`DependenceAnalyzer.explain` call memoizes step 4–5's
+vectors by the frozenset of the base system's row keys.  The reuse is
+exact.  The Fourier–Motzkin verdict, the bounds and any give-up are
+functions of the deduplicated row *set*: dedupe is by key, and both the
+choice of the next variable and the cap check read only row counts.
+The GCD and Banerjee verdicts of an equality are unchanged by the
+positive scaling that row normalization applies.  The memo lives for
+one call — no cross-call cache — and a reused pair is counted on
+``deps.pairs_reused`` instead of re-running the test ladder.
+
 Only *cross-iteration* dependences are reported (the all-zero vector
 never constrains iteration reordering of a single-body perfect nest).
 Anything the analyzer cannot model — non-affine subscripts in every
@@ -26,9 +45,10 @@ lexicographically-positive cover ``(+, *, ..), (0, +, *, ..), ...``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.deps.analysis.linear_system import LinearSystem
+from repro.deps.analysis.linear_system import LinConstraint, LinearSystem
 from repro.deps.analysis.references import (
     ArrayAccess,
     collect_accesses,
@@ -42,7 +62,18 @@ from repro.deps.analysis.tests import (
 )
 from repro.deps.vector import DepEntry, DepSet, DepVector
 from repro.expr.linear import affine_form
-from repro.expr.nodes import Const, Expr, Max, Min, add, mul, substitute, var
+from repro.expr.nodes import (
+    Const,
+    Expr,
+    Max,
+    Min,
+    add,
+    call,
+    free_vars,
+    mul,
+    substitute,
+    var,
+)
 from repro.ir.loopnest import LoopNest
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
@@ -70,29 +101,40 @@ def _affine_dict(expr: Expr, index_names: Sequence[str], suffix: str,
     return coeffs, Fraction(inv_form.rest.value)
 
 
+def _direction_rows(name: str) -> Dict[str, Tuple[LinConstraint, ...]]:
+    """Per direction code, the rows bounding ``delta = name$2 - name$1``
+    to the code's interval."""
+    x2, x1 = f"{name}$2", f"{name}$1"
+    out = {}
+    for code, (lo, hi) in DIRECTION_INTERVALS.items():
+        rows = []
+        if lo is not None:  # delta - lo >= 0
+            rows.append(LinConstraint.from_ints({x2: 1, x1: -1}, -int(lo)))
+        if hi is not None:  # hi - delta >= 0
+            rows.append(LinConstraint.from_ints({x2: -1, x1: 1}, int(hi)))
+        out[code] = tuple(rows)
+    return out
+
+
 class _PairProblem:
     """The constraint system for one ordered access pair."""
 
     def __init__(self, equalities: List[Equality], base: LinearSystem,
                  index_names: Sequence[str],
                  var_ranges: Dict[str, Tuple],
-                 opaque_levels: Set[int]):
+                 opaque_levels: Set[int],
+                 direction_rows: Dict[str, Dict[str, Tuple]]):
         self.equalities = equalities
         self.base = base
         self.index_names = list(index_names)
         self.var_ranges = var_ranges
         self.opaque_levels = opaque_levels
+        self.direction_rows = direction_rows
 
     def with_directions(self, directions: Dict[str, str]) -> LinearSystem:
         system = self.base.copy()
         for name, code in directions.items():
-            lo, hi = DIRECTION_INTERVALS[code]
-            # delta = x$2 - x$1
-            coeffs = {f"{name}$2": Fraction(1), f"{name}$1": Fraction(-1)}
-            if lo is not None:
-                system.add_ge(dict(coeffs), -lo)
-            if hi is not None:
-                system.add_le(dict(coeffs), -hi)
+            system.constraints.extend(self.direction_rows[name][code])
         return system
 
 
@@ -125,11 +167,11 @@ class DependenceAnalyzer:
         self.opaque_levels: Set[int] = set()  # 0-based
         self.norm_names: List[str] = []
         bounds: List[Optional[Tuple[Expr, Expr]]] = []
+        index_set = set(self.index_names)
         for k, lp in enumerate(nest.loops):
             lower = substitute(lp.lower, self.rewrite)
             upper = substitute(lp.upper, self.rewrite)
-            from repro.expr.nodes import free_vars as _fv
-            lower_uses_indices = bool(_fv(lower) & set(self.index_names))
+            lower_uses_indices = bool(free_vars(lower) & index_set)
             if isinstance(lp.step, Const) and lp.step.value == 1:
                 self.norm_names.append(lp.index)
                 bounds.append((lower, upper))
@@ -147,11 +189,23 @@ class DependenceAnalyzer:
                 # bound mentioning it degrades conservatively.
                 t = lp.index + "$t"
                 self.norm_names.append(t)
-                from repro.expr.nodes import call as _call
-                self.rewrite[lp.index] = _call("opaque$step", var(t))
+                self.rewrite[lp.index] = call("opaque$step", var(t))
                 self.opaque_levels.add(k)
                 bounds.append(None)
         self._bounds = bounds
+        # Names _affine_dict leaves bare that _suffix_var re-suffixes.
+        self._iteration_vars = index_set | set(self.norm_names)
+        self._direction_rows = {nm: _direction_rows(nm)
+                                for nm in self.norm_names}
+
+    @cached_property
+    def _bound_rows(self) -> List[LinConstraint]:
+        """The loop-bound rows of both iteration copies, built on the
+        first pair and shared by every pair problem after it."""
+        system = LinearSystem()
+        self._bound_constraints(system, "$1")
+        self._bound_constraints(system, "$2")
+        return system.constraints
 
     def _bound_constraints(self, system: LinearSystem, suffix: str) -> None:
         for k, lp in enumerate(self.nest.loops):
@@ -183,7 +237,7 @@ class DependenceAnalyzer:
     def _suffix_var(self, v: str, suffix: str) -> str:
         # _affine_dict with empty suffix leaves iteration vars bare;
         # re-suffix them, leaving invariants alone.
-        if v in self.index_names or v in [n for n in self.norm_names]:
+        if v in self._iteration_vars:
             return f"{v}{suffix}"
         return v
 
@@ -220,6 +274,7 @@ class DependenceAnalyzer:
 
     # -- ranges for the Banerjee tier --------------------------------------------
 
+    @cached_property
     def _const_ranges(self) -> Dict[str, Tuple]:
         out: Dict[str, Tuple] = {}
         for k, lp in enumerate(self.nest.loops):
@@ -255,8 +310,8 @@ class DependenceAnalyzer:
                 continue  # non-affine dimension contributes no constraint
             coeffs: Coeffs = {}
             for v, c in fa[0].items():
-                coeffs[self._suffix_var(v, "$1")] = (
-                    coeffs.get(self._suffix_var(v, "$1"), Fraction(0)) + c)
+                key = self._suffix_var(v, "$1")
+                coeffs[key] = coeffs.get(key, Fraction(0)) + c
             for v, c in ga[0].items():
                 key = self._suffix_var(v, "$2")
                 coeffs[key] = coeffs.get(key, Fraction(0)) - c
@@ -265,10 +320,10 @@ class DependenceAnalyzer:
         system = LinearSystem()
         for eq in equalities:
             system.add_eq(dict(eq.coeffs), eq.const)
-        self._bound_constraints(system, "$1")
-        self._bound_constraints(system, "$2")
+        system.constraints.extend(self._bound_rows)
         return _PairProblem(equalities, system, self.norm_names,
-                            self._const_ranges(), self.opaque_levels)
+                            self._const_ranges, self.opaque_levels,
+                            self._direction_rows)
 
     # -- the direction-vector hierarchy -------------------------------------------------
 
@@ -316,8 +371,9 @@ class DependenceAnalyzer:
             return base
         system = problem.with_directions(directions)
         dname = f"{name}$d"
-        system.add_eq({dname: Fraction(1), f"{name}$2": Fraction(-1),
-                       f"{name}$1": Fraction(1)}, 0)
+        # name$d == name$2 - name$1
+        system.constraints.append(LinConstraint.from_ints(
+            {dname: 1, f"{name}$2": -1, f"{name}$1": 1}, 0, equality=True))
         lo, hi = system.bounds_of(dname)
         if lo is not None and hi is not None and lo == hi and lo.denominator == 1:
             return DepEntry.distance(int(lo))
@@ -369,20 +425,30 @@ class DependenceAnalyzer:
         with _obs.span("deps.analyze", level=self.level, depth=self.n):
             accesses = collect_accesses(self.nest, self.arrays)
             reports: List[PairReport] = []
+            # Pair problems solved in this call, by base-row key set
+            # (see the module docstring for why reuse is exact).
+            solved: Dict[frozenset, List[DepVector]] = {}
+            reused = 0
             for src, dst in dependence_candidate_pairs(accesses):
                 problem = self._build_problem(src, dst)
                 if problem is None or not problem.equalities:
                     reports.append(PairReport(
                         src, dst, 0, True, _conservative_cover(self.n)))
                     continue
-                vectors = self._enumerate(problem)
+                key = frozenset(c.key() for c in problem.base.constraints)
+                vectors = solved.get(key)
+                if vectors is None:
+                    vectors = solved[key] = self._enumerate(problem)
+                else:
+                    reused += 1
                 reports.append(PairReport(
-                    src, dst, len(problem.equalities), False, vectors))
+                    src, dst, len(problem.equalities), False, list(vectors)))
         if _obs.enabled():
             metrics = get_metrics()
             metrics.counter("deps.pairs").inc(len(reports))
             metrics.counter("deps.pairs_conservative").inc(
                 sum(1 for r in reports if r.conservative))
+            metrics.counter("deps.pairs_reused").inc(reused)
         return reports
 
 

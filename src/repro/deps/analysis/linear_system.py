@@ -20,9 +20,26 @@ preserves a ``>= 0`` constraint), which keeps the hot elimination loop
 in machine-int arithmetic — no :class:`~fractions.Fraction` division —
 and makes scalar multiples of the same hyperplane collapse in the
 dedup pass.  Variables are eliminated cheapest-first (fewest
-positive×negative row combinations), which defers — and usually
-avoids — the quadratic constraint blowup a fixed order runs into on
-mod/div-heavy subscripts.
+positive×negative row combinations, ties broken by name), which
+defers — and usually avoids — the quadratic constraint blowup a fixed
+order runs into on mod/div-heavy subscripts.
+
+The hot path stays in plain ints end to end:
+
+* rows that :func:`_eliminate` combines are already integers, so they
+  go through :meth:`LinConstraint.from_ints`, which skips the general
+  constructor's ``Fraction`` handling but drops cancelled coefficients
+  and divides out the GCD exactly as the constructor does — the row,
+  down to its dict order, is the one ``LinConstraint(...)`` would build;
+* rows are never mutated after construction, so each row caches its
+  dedupe :meth:`~LinConstraint.key` and, for an equality, its split
+  into two inequalities (:meth:`~LinConstraint.as_inequalities`).  Rows
+  shared between systems — the driver's loop-bound and direction rows
+  — pay for both once.
+
+None of this changes which rows exist or their order: elimination
+order, the cap check and the row order of every step are those of the
+plain algorithm.
 
 This module is the repository's one Fourier–Motzkin kernel: the
 Unimodular template's polyhedron scanning (:mod:`repro.core.fme`) runs
@@ -39,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
@@ -51,10 +68,11 @@ class LinConstraint:
 
     Stored in canonical form: coefficients and constant are coprime
     integers (the input may be ints or Fractions; construction scales
-    by the positive LCM of denominators and divides by the GCD).
+    by the positive LCM of denominators and divides by the GCD).  Rows
+    are treated as immutable once built.
     """
 
-    __slots__ = ("coeffs", "const", "equality")
+    __slots__ = ("coeffs", "const", "equality", "_key", "_split")
 
     def __init__(self, coeffs: Dict[str, object], const: object,
                  equality: bool = False):
@@ -89,9 +107,50 @@ class LinConstraint:
         self.coeffs: Dict[str, int] = ints
         self.const: int = const
         self.equality = equality
+        self._key = None
+        self._split = None
+
+    @classmethod
+    def from_ints(cls, coeffs: Dict[str, int], const: int,
+                  equality: bool = False) -> "LinConstraint":
+        """The row ``LinConstraint(coeffs, const, equality)`` builds, for
+        int-only input: zero coefficients are dropped (the others keep
+        their order) and the GCD is divided out.  *coeffs* may become
+        the row's own dict — the caller must not reuse it."""
+        if 0 in coeffs.values():
+            coeffs = {v: x for v, x in coeffs.items() if x}
+        g = gcd(const, *coeffs.values())
+        if g > 1:
+            coeffs = {v: x // g for v, x in coeffs.items()}
+            const //= g
+        row = cls.__new__(cls)
+        row.coeffs = coeffs
+        row.const = const
+        row.equality = equality
+        row._key = None
+        row._split = None
+        return row
 
     def key(self):
-        return (tuple(sorted(self.coeffs.items())), self.const, self.equality)
+        """Identity for deduplication (cached): equal keys, equal rows."""
+        k = self._key
+        if k is None:
+            k = self._key = (frozenset(self.coeffs.items()), self.const,
+                             self.equality)
+        return k
+
+    def as_inequalities(self) -> Tuple["LinConstraint", ...]:
+        """The row as ``>= 0`` rows: itself, or for an equality the pair
+        ``lhs >= 0``, ``-lhs >= 0`` (cached)."""
+        if not self.equality:
+            return (self,)
+        split = self._split
+        if split is None:
+            split = self._split = (
+                LinConstraint.from_ints(dict(self.coeffs), self.const),
+                LinConstraint.from_ints(
+                    {v: -x for v, x in self.coeffs.items()}, -self.const))
+        return split
 
     def __repr__(self):
         terms = " + ".join(f"{c}*{v}" for v, c in sorted(self.coeffs.items()))
@@ -102,13 +161,11 @@ class LinConstraint:
 class LinearSystem:
     """A mutable collection of constraints over named rational variables."""
 
-    def __init__(self):
-        self.constraints: List[LinConstraint] = []
+    def __init__(self, constraints: Iterable[LinConstraint] = ()):
+        self.constraints: List[LinConstraint] = list(constraints)
 
     def copy(self) -> "LinearSystem":
-        out = LinearSystem()
-        out.constraints = list(self.constraints)
-        return out
+        return LinearSystem(self.constraints)
 
     # -- building ----------------------------------------------------------
 
@@ -138,14 +195,9 @@ class LinearSystem:
     # -- solving -----------------------------------------------------------
 
     def _as_inequalities(self) -> List[LinConstraint]:
-        out = []
+        out: List[LinConstraint] = []
         for c in self.constraints:
-            if c.equality:
-                out.append(LinConstraint(c.coeffs, c.const))
-                out.append(LinConstraint(
-                    {v: -x for v, x in c.coeffs.items()}, -c.const))
-            else:
-                out.append(c)
+            out.extend(c.as_inequalities())
         return out
 
     def is_feasible(self) -> bool:
@@ -154,10 +206,10 @@ class LinearSystem:
         cap = _guards.limits().max_fme_constraints
         ineqs = _dedupe(self._as_inequalities())
         while True:
-            live = {v for c in ineqs for v in c.coeffs}
-            if not live:
+            name = _cheapest_var(ineqs)
+            if name is None:
                 return True
-            ineqs = _eliminate(ineqs, _cheapest_var(ineqs, live), cap)
+            ineqs = _eliminate(ineqs, name, cap)
             if ineqs is None:
                 _count_give_up()
                 return True  # gave up: assume feasible
@@ -177,10 +229,10 @@ class LinearSystem:
         cap = _guards.limits().max_fme_constraints
         ineqs = _dedupe(self._as_inequalities())
         while True:
-            live = {v for c in ineqs for v in c.coeffs} - {name}
-            if not live:
+            var = _cheapest_var(ineqs, skip=name)
+            if var is None:
                 break
-            ineqs = _eliminate(ineqs, _cheapest_var(ineqs, live), cap)
+            ineqs = _eliminate(ineqs, var, cap)
             if ineqs is None:
                 _count_give_up()
                 return None, None
@@ -211,7 +263,9 @@ def _dedupe(ineqs: List[LinConstraint]) -> List[LinConstraint]:
     seen = set()
     out = []
     for c in ineqs:
-        k = c.key()
+        k = c._key
+        if k is None:
+            k = c.key()
         if k not in seen:
             seen.add(k)
             out.append(c)
@@ -219,23 +273,28 @@ def _dedupe(ineqs: List[LinConstraint]) -> List[LinConstraint]:
 
 
 def _cheapest_var(ineqs: Sequence[LinConstraint],
-                  candidates: Set[str]) -> str:
-    """The candidate whose elimination creates the fewest combined rows
-    (Fourier–Motzkin's classic min ``|pos|*|neg|`` heuristic); ties
-    break alphabetically so elimination order — and therefore the
-    give-up behavior near the cap — is deterministic."""
-    counts: Dict[str, List[int]] = {}
+                  skip: Optional[str] = None) -> Optional[str]:
+    """The variable (other than *skip*) whose elimination creates the
+    fewest combined rows (Fourier–Motzkin's classic min ``|pos|*|neg|``
+    heuristic), or None when no such variable occurs; ties break
+    alphabetically so elimination order — and therefore the give-up
+    behavior near the cap — is deterministic."""
+    pos: Dict[str, int] = {}
+    neg: Dict[str, int] = {}
     for c in ineqs:
         for v, a in c.coeffs.items():
-            if v not in candidates:
-                continue
-            pn = counts.setdefault(v, [0, 0])
-            pn[0 if a > 0 else 1] += 1
+            if a > 0:
+                pos[v] = pos.get(v, 0) + 1
+            else:
+                neg[v] = neg.get(v, 0) + 1
     best = None
     best_cost = None
-    for v in sorted(candidates):
-        pos, neg = counts.get(v, (0, 0))
-        cost = pos * neg - (pos + neg)
+    for v in sorted(pos.keys() | neg.keys()):
+        if v == skip:
+            continue
+        p = pos.get(v, 0)
+        n = neg.get(v, 0)
+        cost = p * n - (p + n)
         if best_cost is None or cost < best_cost:
             best, best_cost = v, cost
     return best
@@ -248,8 +307,8 @@ def _eliminate(ineqs: List[LinConstraint], name: str,
 
     Combination is by integer cross-multiplication — ``aq*p + ap*q``
     instead of ``p/ap + q/aq`` — so no rational arithmetic happens
-    here; the constructor renormalizes each combined row to coprime
-    integers.
+    here; :meth:`LinConstraint.from_ints` renormalizes each combined
+    row to coprime integers.
     """
     kept, pos, neg = [], [], []
     for c in ineqs:
@@ -262,16 +321,16 @@ def _eliminate(ineqs: List[LinConstraint], name: str,
             neg.append(c)
     if len(pos) * len(neg) + len(kept) > cap:
         return None
+    negs = [(-q.coeffs[name],
+             [(v, c) for v, c in q.coeffs.items() if v != name], q.const)
+            for q in neg]
+    from_ints = LinConstraint.from_ints
     for p in pos:
         ap = p.coeffs[name]
-        for q in neg:
-            aq = -q.coeffs[name]
-            coeffs: Dict[str, int] = {}
-            for v, c in p.coeffs.items():
-                if v != name:
-                    coeffs[v] = aq * c
-            for v, c in q.coeffs.items():
-                if v != name:
-                    coeffs[v] = coeffs.get(v, 0) + ap * c
-            kept.append(LinConstraint(coeffs, aq * p.const + ap * q.const))
+        p_items = [(v, c) for v, c in p.coeffs.items() if v != name]
+        for aq, q_items, q_const in negs:
+            coeffs = {v: aq * c for v, c in p_items}
+            for v, c in q_items:
+                coeffs[v] = coeffs.get(v, 0) + ap * c
+            kept.append(from_ints(coeffs, aq * p.const + ap * q_const))
     return _dedupe(kept)

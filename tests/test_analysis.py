@@ -4,12 +4,20 @@ against enumerated concrete accesses."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.deps.analysis import DependenceAnalyzer, analyze
-from repro.deps.analysis.linear_system import LinearSystem
+from repro.deps.analysis.driver import _conservative_cover
+from repro.deps.analysis.linear_system import LinConstraint, LinearSystem
+from repro.deps.analysis.references import (
+    collect_accesses,
+    dependence_candidate_pairs,
+)
 from repro.deps.analysis.tests import Equality, banerjee_test, gcd_test
 from repro.deps.vector import DepSet, depset, depv
 from repro.ir.parser import parse_nest
+from repro.resilience.guards import GuardLimits, set_limits
 from repro.runtime import run_nest
 from fractions import Fraction
 
@@ -275,3 +283,148 @@ class TestExplain:
         via_explain = DepSet(
             [v.coarsen() for r in analyzer.explain() for v in r.vectors])
         assert via_explain == analyzer.analyze()
+
+
+# -- the integer fast path and the pair memo -----------------------------------
+
+_names = st.sampled_from(["a", "b", "c", "d", "e"])
+_int_rows = st.dictionaries(_names, st.integers(-6, 6), max_size=5)
+
+
+def _same_row(x, y):
+    return (list(x.coeffs.items()) == list(y.coeffs.items())
+            and x.const == y.const and x.equality == y.equality
+            and x.key() == y.key())
+
+
+class TestIntegerRows:
+    @given(_int_rows, st.integers(-12, 12), st.booleans())
+    def test_from_ints_matches_constructor(self, coeffs, const, equality):
+        assert _same_row(LinConstraint.from_ints(dict(coeffs), const,
+                                                 equality),
+                         LinConstraint(coeffs, const, equality))
+
+    @given(_int_rows, _int_rows, st.integers(1, 4), st.integers(1, 4),
+           st.integers(-9, 9), st.integers(-9, 9))
+    def test_combined_rows_with_cancellation(self, p, q, ap, aq, pc, qc):
+        # The combination _eliminate forms, with q built to cancel
+        # some of p's coefficients outright.
+        q = {**q, **{v: -c * aq // ap for v, c in p.items()
+                     if (c * aq) % ap == 0 and v < "c"}}
+        combined = {v: aq * c for v, c in p.items()}
+        for v, c in q.items():
+            combined[v] = combined.get(v, 0) + ap * c
+        const = aq * pc + ap * qc
+        assert _same_row(LinConstraint.from_ints(dict(combined), const),
+                         LinConstraint(combined, const))
+
+    def test_equality_split_is_cached(self):
+        row = LinConstraint({"x": 2, "y": -4}, 6, equality=True)
+        pos, neg = row.as_inequalities()
+        assert _same_row(pos, LinConstraint({"x": 1, "y": -2}, 3))
+        assert _same_row(neg, LinConstraint({"x": -1, "y": 2}, -3))
+        assert row.as_inequalities() is row.as_inequalities()
+        plain = LinConstraint({"x": 1}, 0)
+        assert plain.as_inequalities() == (plain,)
+
+
+_system_rows = st.lists(
+    st.tuples(st.dictionaries(st.sampled_from(["x", "y", "z", "w"]),
+                              st.integers(-3, 3), min_size=1, max_size=4),
+              st.integers(-5, 5), st.booleans()),
+    min_size=1, max_size=9)
+
+
+def _answers(rows):
+    system = LinearSystem([LinConstraint(c, k, e) for c, k, e in rows])
+    return (system.is_feasible(),
+            [system.bounds_of(v) for v in ("x", "y", "z", "w")])
+
+
+class TestRowOrderInvariance:
+    """The pair memo relies on FM answers being functions of the row
+    set: reordering rows never changes a verdict, a bound or a
+    give-up."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_system_rows, st.randoms(use_true_random=False),
+           st.sampled_from([2, 4, 6, 8, 4000]))
+    def test_answers_ignore_row_order(self, rows, rnd, cap):
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        set_limits(GuardLimits(max_fme_constraints=cap))
+        try:
+            expected = _answers(rows)
+            assert _answers(shuffled) == expected
+            assert _answers(rows[::-1]) == expected
+        finally:
+            set_limits(None)
+
+    @pytest.mark.parametrize("rows,cap", [
+        # Infeasible, but the first step already needs 3 rows.
+        ([({"x": 1}, -k, False) for k in range(3)] +
+         [({"x": -1}, -1, False), ({"x": 1, "y": 1}, 0, False)], 2),
+        # Feasible for x with the default cap; under cap 8, bounds_of("x")
+        # gives up after a step whose variable is picked by a name tie.
+        ([({"y": -1, "z": 2, "x": -3}, 4, True),
+          ({"w": -3, "x": 3, "y": 2}, -1, False),
+          ({"y": 1, "z": -1}, 0, False), ({"y": 2, "x": 2}, 5, True),
+          ({"z": 3}, -1, False), ({"z": -2}, 2, False)], 8),
+    ])
+    def test_give_up_under_shrunk_cap_ignores_row_order(self, rows, cap):
+        uncapped = _answers(rows)
+        set_limits(GuardLimits(max_fme_constraints=cap))
+        try:
+            capped = _answers(rows)
+            assert capped != uncapped
+            assert capped[1][0] == (None, None)  # x's bounds: give-up
+            for perm in itertools.permutations(rows):
+                assert _answers(list(perm)) == capped
+        finally:
+            set_limits(None)
+
+
+def _unmemoized(nest):
+    """Per-pair vectors with every pair's test ladder actually run."""
+    analyzer = DependenceAnalyzer(nest)
+    out = []
+    for src, dst in dependence_candidate_pairs(collect_accesses(nest)):
+        problem = analyzer._build_problem(src, dst)
+        out.append(analyzer._enumerate(problem) if problem.equalities
+                   else _conservative_cover(nest.depth))
+    return out
+
+
+class TestPairMemo:
+    SOURCE = """
+    do i = 2, n
+      do j = 1, n - 1
+        a(i, j) = a(i, j) + a(i - 1, j + 1)
+      enddo
+    enddo
+    """
+
+    def test_memo_hits_give_the_unmemoized_answer(self):
+        nest = parse_nest(self.SOURCE)
+        obs.enable()
+        try:
+            reports = DependenceAnalyzer(nest).explain()
+            counters = obs.get_metrics().snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.get_metrics().clear()
+        reference = _unmemoized(nest)
+        assert [r.vectors for r in reports] == reference
+        assert (DepSet([v.coarsen() for vs in reference for v in vs])
+                == analyze(nest) == depset((1, -1)))
+        # Write->read, read->write and write->write of a(i, j) pose one
+        # problem: two of them are answered from the memo.
+        assert counters["deps.pairs_reused"] == 2
+        assert counters["deps.pairs"] == len(reports) == 5
+
+    def test_report_vector_lists_are_distinct(self, stencil_nest):
+        for nest in (stencil_nest, parse_nest(self.SOURCE),
+                     parse_nest("do i = 1, n\n a(idx(i)) = a(idx(i)) + 1"
+                                "\nenddo")):
+            reports = DependenceAnalyzer(nest).explain()
+            assert len({id(r.vectors) for r in reports}) == len(reports)

@@ -208,3 +208,30 @@ def test_evidence_collection_is_safe_when_obs_disabled():
     assert evidence.refuted == {}
     assert evidence.cachesim_hit_ratio is None
     assert "hits" in evidence.legality
+
+
+@pytest.mark.parametrize(
+    "text", [p.read_text() for p in EXAMPLES] + [TRIANGULAR],
+    ids=[p.stem for p in EXAMPLES] + ["triangular-inline"])
+def test_evidence_tiers_survive_pair_reuse(text):
+    """Pairs answered from the analyzer's per-call memo skip the test
+    ladder, so the ``deps.refuted.*`` counts shrink; the evidence model
+    reads only which tiers are non-zero, and those must be the tiers a
+    run of every pair's ladder sees."""
+    from repro import obs
+    from tests.test_analysis import _unmemoized
+
+    nest = parse_nest(text)
+
+    def tiers(run):
+        obs.enable()
+        try:
+            run()
+            return set(Evidence.collect().refuted)
+        finally:
+            obs.disable()
+            obs.get_metrics().clear()
+
+    memoized = tiers(lambda: analyze(nest))
+    assert memoized == tiers(lambda: _unmemoized(nest))
+    assert memoized  # the inputs do exercise the ladder

@@ -18,6 +18,8 @@ import subprocess
 import sys
 import time
 
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosPlan
 from repro.service import (
     ServiceClient,
     TransformationService,
@@ -181,13 +183,17 @@ def test_shutdown_op_drains_after_answering_admitted_work():
 
 
 def test_request_timeout_is_typed():
-    # The budget must be one no depth-3 search can meet, warm or cold:
-    # 5ms stopped being safely slow once dependence analysis got fast.
-    service = TransformationService(request_timeout=0.0002)
-    replies = by_id(drive(service, [
-        {"id": 1, "op": "search",
-         "params": {"text": STENCIL, "depth": 3, "beam": 8}},
-    ]))
+    # A 5 s hang injected into dependence analysis makes the request
+    # outlast its 50 ms budget however fast the analyzer itself is.
+    chaos.arm(ChaosPlan.from_spec("deps.analysis:hang:1:5"))
+    try:
+        service = TransformationService(request_timeout=0.05)
+        replies = by_id(drive(service, [
+            {"id": 1, "op": "search",
+             "params": {"text": STENCIL, "depth": 3, "beam": 8}},
+        ]))
+    finally:
+        chaos.disarm()
     assert replies[1]["error"]["code"] == protocol.TIMEOUT
     assert service.counters["timeouts"] == 1
 
