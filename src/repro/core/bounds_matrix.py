@@ -14,10 +14,19 @@ The matrices exist so the legality test can evaluate the ``type``
 predicates of every template's preconditions *without* generating code
 (Section 4.1).  :class:`BoundsMatrix` is that queryable artifact;
 :meth:`BoundsMatrix.pretty` reproduces Figure 5.
+
+Legality testing asks for the matrix of the same loop headers many times
+over: every template in a sequence checks its preconditions on the loops
+it receives, and a search re-checks each beam base's headers for every
+menu step extending it.  :func:`bounds_matrix_of` serves those queries
+from a small LRU memo keyed by header *content* (``Loop.__eq__`` covers
+index, bounds, step and kind — everything a matrix reads).  A matrix is
+never mutated after construction, so callers may share one.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.expr.linear import AffineForm, BoundType, affine_form
@@ -33,6 +42,8 @@ from repro.expr.nodes import (
     var,
 )
 from repro.ir.loopnest import Loop, LoopNest
+from repro.obs import trace as _obs
+from repro.obs.metrics import get_metrics
 
 LB = "LB"
 UB = "UB"
@@ -266,3 +277,32 @@ class BoundsMatrix:
             return "type = invar or const, in all cases."
         facts.append("type = invar or const, in all other cases.")
         return "\n".join(facts)
+
+
+#: Distinct header tuples whose matrices :func:`bounds_matrix_of` keeps.
+#: The reuse is local — a sequence's steps and a beam base's extensions
+#: ask about the same few tuples back to back — so a handful suffices.
+MATRIX_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=MATRIX_MEMO_SIZE)
+def _memo_matrix(loops: Tuple[Loop, ...]) -> BoundsMatrix:
+    return BoundsMatrix(loops)
+
+
+def bounds_matrix_of(loops: Sequence[Loop]) -> BoundsMatrix:
+    """The :class:`BoundsMatrix` of *loops*, shared with any earlier
+    request for content-equal headers still in the memo.
+
+    Under ``repro.obs`` each call counts ``bounds_matrix.built`` or
+    ``bounds_matrix.reused`` (approximate when threads race on the memo).
+    """
+    key = tuple(loops)
+    if not _obs.enabled():
+        return _memo_matrix(key)
+    misses = _memo_matrix.cache_info().misses
+    matrix = _memo_matrix(key)
+    built = _memo_matrix.cache_info().misses != misses
+    get_metrics().counter(
+        "bounds_matrix.built" if built else "bounds_matrix.reused").inc()
+    return matrix

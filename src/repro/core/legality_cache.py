@@ -27,6 +27,12 @@ string enumerates vectors in order, so the cache must not conflate
 reorderings); template steps key by type, depth and ``to_spec()`` (plus
 ``names`` for Unimodular, which its spec omits).  All keys are interned
 to small integers so hot lookups never re-hash deep structures.
+
+On a legal verdict (a miss or a content hit) the cache also seeds the
+transformation's one-slot fold memo (:meth:`Transformation.final_loops`)
+with the final headers its bounds table already holds, so a scorer
+reading them next does not fold the sequence again.  Seeding only reads
+the tables: it never adds an entry or touches the LRU order.
 """
 
 from __future__ import annotations
@@ -272,6 +278,13 @@ class LegalityCache:
                                    deps, deps_id)
             self._verdicts[vkey] = report
             self._bound(self._verdicts)
+        if report.legal:
+            # Seed the scorer's fold memo with the final headers the
+            # bounds table holds (none for the identity, or for a prefix
+            # a bounded cache evicted: the scorer then folds itself).
+            state = self._bounds_cache.get((nest_id, step_ids))
+            if state is not None and state[0] == "ok":
+                transformation._remember_fold(nest, state[1])
         self._verdict_by_obj[okey] = ((transformation, nest, deps), report)
         self._bound(self._verdict_by_obj)
         return report

@@ -19,7 +19,13 @@ The class provides the paper's two uniform operations:
   statements in the order ``INIT_k, ..., INIT_1``.
 
 Transformations are independent of loop nests: building, composing and
-testing them never mutates a nest (Section 5).
+testing them never mutates a nest (Section 5).  A transformation does
+remember one thing about the last nest it was folded over — the final
+loop headers, in a one-slot memo keyed by that nest's identity — so a
+scorer asking for the headers right after a legality test does not fold
+the sequence again.  The slot caches a pure function of
+``(steps, nest)``, is filled only by a successful fold, and is dropped
+on pickling; it never changes any answer.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.core.templates.unimodular import Unimodular
 from repro.deps.vector import DepSet
 from repro.ir.loopnest import Loop, LoopNest
 from repro.obs import trace as _obs
+from repro.obs.metrics import get_metrics
 from repro.util.errors import (
     CodegenError,
     IllegalTransformationError,
@@ -68,7 +75,7 @@ class LegalityReport:
 class Transformation:
     """An immutable sequence of kernel template instantiations."""
 
-    __slots__ = ("steps", "_n")
+    __slots__ = ("steps", "_n", "_fold")
 
     def __init__(self, steps: Sequence[Template], n: Optional[int] = None):
         """*steps* may be empty only when *n* (the nest size) is given."""
@@ -86,18 +93,22 @@ class Transformation:
                 f"first step expects {steps[0].n} loops, not n={n}")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_n", n if n is not None else steps[0].n)
+        # (nest, final loop headers) of the last successful bounds fold.
+        object.__setattr__(self, "_fold", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Transformation is immutable")
 
     # The guarded __setattr__ breaks pickle's default slot-state
     # restoration (sequences cross process boundaries in parallel search).
+    # The fold memo stays behind: its nest lives in this process.
     def __getstate__(self):
         return (self.steps, self._n)
 
     def __setstate__(self, state):
         object.__setattr__(self, "steps", state[0])
         object.__setattr__(self, "_n", state[1])
+        object.__setattr__(self, "_fold", None)
 
     # -- construction -----------------------------------------------------
 
@@ -273,6 +284,11 @@ class Transformation:
                     return LegalityReport(
                         False, f"{step.signature()}: {exc}", failed_step=idx,
                         final_deps=final)
+        fold = self._fold
+        if fold is None or fold[0] is not nest:
+            # Keep headers already remembered for this nest: a cache may
+            # have seeded ones it shares across transformations.
+            self._remember_fold(nest, loops)
         return LegalityReport(True, final_deps=final)
 
     def is_legal(self, nest: LoopNest, deps: DepSet) -> bool:
@@ -307,6 +323,25 @@ class Transformation:
             loops, inits = step.map_loops(loops, taken)
             per_step_inits.append(inits)
         return assemble_nest(nest, loops, per_step_inits)
+
+    def final_loops(self, nest: LoopNest) -> Tuple[Loop, ...]:
+        """The loop headers after every step — ``loop_trace(nest)[-1]`` —
+        reusing the headers a legality test or an earlier call already
+        folded for this very *nest* object.  A failed fold raises, as
+        :meth:`loop_trace` does, and is not remembered."""
+        fold = self._fold
+        if fold is not None and fold[0] is nest:
+            if _obs.enabled():
+                get_metrics().counter("legality.folds_reused").inc()
+            return fold[1]
+        loops = self.loop_trace(nest)[-1]
+        self._remember_fold(nest, loops)
+        return loops
+
+    def _remember_fold(self, nest: LoopNest, loops: Tuple[Loop, ...]) -> None:
+        """Record *loops* as this sequence's final headers on *nest*
+        (callers guarantee they come from a successful fold)."""
+        object.__setattr__(self, "_fold", (nest, loops))
 
     def loop_trace(self, nest: LoopNest) -> List[Tuple[Loop, ...]]:
         """Loop headers after each stage (used for Figure 7)."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import abc
 from typing import Iterable, List, NamedTuple, Sequence, Set, Tuple
 
-from repro.core.bounds_matrix import BoundsMatrix
+from repro.core.bounds_matrix import BoundsMatrix, bounds_matrix_of
 from repro.deps.vector import DepSet, DepVector
 from repro.ir.loopnest import InitStmt, Loop
 
@@ -142,7 +142,7 @@ class Template(abc.ABC):
                 f"got {len(loops)}")
 
     def _bounds_matrix(self, loops: Sequence[Loop]) -> BoundsMatrix:
-        return BoundsMatrix(loops)
+        return bounds_matrix_of(loops)
 
 
 def fresh_name(base: str, taken: Set[str]) -> str:

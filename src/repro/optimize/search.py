@@ -70,10 +70,17 @@ def default_candidates(n: int, tile_size: int = 16) -> List[Template]:
 
 def parallelism_score(transformation: Transformation, nest: LoopNest,
                       deps: DepSet) -> float:
-    """Static score: pardo loops weighted by how far out they sit."""
+    """Static score: pardo loops weighted by how far out they sit.
+
+    A depth mismatch or a fold the templates reject (a typed
+    :class:`ReproError`) scores ``-inf``; any other exception is a
+    programming error and propagates.
+    """
+    if nest.depth != transformation.input_depth:
+        return float("-inf")
     try:
-        loops = transformation.loop_trace(nest)[-1]
-    except Exception:
+        loops = transformation.final_loops(nest)
+    except ReproError:
         return float("-inf")
     total = 0.0
     depth = len(loops)

@@ -112,3 +112,100 @@ class TestQueries:
         nest = parse_nest("do i = 1, n\n do j = 1, n\n a(i,j)=1\n enddo\nenddo")
         bm = BoundsMatrix.of_nest(nest)
         assert "all cases" in bm.pretty_types()
+
+
+# -- the shared per-header-tuple memo ---------------------------------------
+
+def _header_stages():
+    """(label, loop headers) for the fuzz generator's nests, the example
+    kernels, and every stage of their step sequences' loop folds."""
+    import pathlib
+
+    from repro.core.sequence import Transformation
+    from repro.fuzz.gen import CaseGen
+    from repro.util.errors import ReproError
+
+    sources = [(f"fuzz{case.case_id}", case.text, case.steps)
+               for case in CaseGen(5).cases(60)]
+    examples = pathlib.Path(__file__).resolve().parent.parent / \
+        "examples" / "loops"
+    sources += [(path.stem, path.read_text(), None)
+                for path in sorted(examples.glob("*.loop"))]
+    stages = []
+    for label, text, steps in sources:
+        nest = parse_nest(text)
+        trace = [nest.loops]
+        if steps:
+            try:
+                trace = Transformation.from_spec(steps, nest.depth,
+                                                 reduce=False).loop_trace(nest)
+            except (ReproError, ValueError):
+                pass
+        stages += [(f"{label}-stage{k}", loops)
+                   for k, loops in enumerate(trace)]
+    return stages
+
+
+_STAGES = _header_stages()
+
+
+@pytest.mark.parametrize("loops", [loops for _, loops in _STAGES],
+                         ids=[label for label, _ in _STAGES])
+def test_memoized_matrix_answers_like_a_fresh_one(loops):
+    from repro.core.bounds_matrix import bounds_matrix_of
+
+    memo, fresh = bounds_matrix_of(loops), BoundsMatrix(loops)
+    n = len(loops)
+    for i in range(1, n + 1):
+        assert memo.step_value(i) == fresh.step_value(i)
+        for which in (LB, UB, STEP):
+            for j in range(1, n + 1):
+                assert memo.type_of(which, i, j) is \
+                    fresh.type_of(which, i, j), (which, i, j)
+
+
+class TestMatrixMemo:
+    TEXT = "do i = 1, n\n do j = i, n, 2\n  a(i, j) = 1\n enddo\nenddo"
+
+    def test_content_equal_headers_share_one_matrix(self):
+        from repro.core.bounds_matrix import bounds_matrix_of
+
+        first, second = parse_nest(self.TEXT), parse_nest(self.TEXT)
+        assert first.loops is not second.loops
+        assert first.loops[1] is not second.loops[1]
+        assert bounds_matrix_of(first.loops) is \
+            bounds_matrix_of(list(second.loops))
+
+    def test_kind_or_step_keeps_matrices_apart(self):
+        from repro.core.bounds_matrix import bounds_matrix_of
+        from repro.expr.nodes import Const
+        from repro.ir.loopnest import PARDO
+
+        loops = parse_nest(self.TEXT).loops
+        pardo = (loops[0].with_kind(PARDO), loops[1])
+        stepped = (loops[0], loops[1].with_bounds(step=Const(3)))
+        base = bounds_matrix_of(loops)
+        assert bounds_matrix_of(pardo) is not base
+        assert bounds_matrix_of(stepped) is not base
+        assert bounds_matrix_of(stepped).step_value(2) == 3
+        assert bounds_matrix_of(loops) is base
+
+    def test_counters_show_reuse(self):
+        from repro import obs
+        from repro.core.bounds_matrix import bounds_matrix_of
+        from repro.ir.loopnest import PARDO
+
+        # Headers no other test builds, so the first call is a build.
+        loops = tuple(lp.with_kind(PARDO)
+                      for lp in parse_nest(self.TEXT).loops)
+        obs.enable()
+        try:
+            bounds_matrix_of(loops)
+            bounds_matrix_of(loops)
+            bounds_matrix_of(tuple(loops))
+            counters = obs.get_metrics().snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.get_metrics().clear()
+        assert counters["bounds_matrix.built"] == 1
+        assert counters["bounds_matrix.reused"] == 2

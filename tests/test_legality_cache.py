@@ -287,3 +287,104 @@ class TestKeys:
             # and collides in `keys`.
             del step
         assert len(keys) == 64
+
+
+# -- the fold memo the cache seeds for the scorer ----------------------------
+
+def _counters():
+    from repro import obs
+
+    return obs.get_metrics().snapshot()["counters"]
+
+
+@pytest.fixture
+def observed():
+    from repro import obs
+
+    obs.enable()
+    try:
+        yield
+    finally:
+        obs.disable()
+        obs.get_metrics().clear()
+
+
+def _tiled_parallel():
+    return Transformation.of(
+        Block(2, 1, 2, [4, 4]),
+        Parallelize(4, [False, True, False, False]),
+        ReversePermute(4, [False] * 4, [1, 3, 2, 4]))
+
+
+def test_fold_memo_is_per_nest():
+    """One transformation scored on two same-depth nests gets each
+    nest's own headers, whichever nest it last folded."""
+    from repro.optimize.search import parallelism_score
+
+    plain = rectangular_nest(2)
+    outer_pardo = parse_nest("pardo i = 1, n\n do j = 1, n\n"
+                             "  a(i, j) = 1\n enddo\nenddo")
+    T = Transformation.of(Parallelize(2, [False, True]))
+    deps = depset((0, 0))
+    assert LegalityCache().legality(T, plain, deps).legal
+    for _ in range(2):
+        assert parallelism_score(T, plain, deps) == 1.0
+        assert parallelism_score(T, outer_pardo, deps) == 3.0
+
+
+@pytest.mark.parametrize("content_hit", [False, True])
+def test_seeded_fold_scores_like_a_fresh_transformation(observed,
+                                                        content_hit):
+    from repro.optimize.search import parallelism_score
+
+    nest = rectangular_nest(2)
+    deps = depset((1, 0))
+    cache = LegalityCache()
+    if content_hit:
+        assert cache.legality(_tiled_parallel(), nest, deps).legal
+    T = _tiled_parallel()
+    assert cache.legality(T, nest, deps).legal
+    assert (cache.hits, cache.misses) == ((1, 1) if content_hit else (0, 1))
+    fresh = Transformation.from_spec(T.to_spec(), 2, reduce=False)
+    expected = parallelism_score(fresh, nest, deps)
+    assert "legality.folds_reused" not in _counters()
+    assert parallelism_score(T, nest, deps) == expected == 2.0
+    assert _counters()["legality.folds_reused"] == 1
+    seeded = T.final_loops(nest)
+    assert seeded == fresh.loop_trace(nest)[-1]
+    # A plain legality test keeps the headers the cache shares.
+    assert T.legality(nest, deps).legal
+    assert T.final_loops(nest) is seeded
+
+
+def test_uncached_legality_seeds_the_fold(observed):
+    from repro.optimize.search import parallelism_score
+
+    nest = rectangular_nest(2)
+    T = _tiled_parallel()
+    assert T.legality(nest, depset((1, 0))).legal
+    assert parallelism_score(T, nest, depset((1, 0))) == 2.0
+    assert _counters()["legality.folds_reused"] == 1
+
+
+def test_pickled_transformation_carries_no_fold():
+    import pickle
+
+    nest = rectangular_nest(2)
+    T = _tiled_parallel()
+    T.final_loops(nest)
+    assert T._fold is not None
+    restored = pickle.loads(pickle.dumps(T))
+    assert restored._fold is None
+    assert restored.signature() == T.signature()
+
+
+def test_failed_fold_is_never_memoized(observed):
+    from repro.optimize.search import parallelism_score
+
+    T = Transformation.of(ReversePermute(2, [False, False], [2, 1]))
+    for _ in range(3):
+        assert parallelism_score(T, TRIANGULAR, depset((0, 1))) == \
+            float("-inf")
+        assert T._fold is None
+    assert "legality.folds_reused" not in _counters()

@@ -196,3 +196,41 @@ class TestSearch:
         search(matmul_nest, depset((0, 0, "+")),
                config=SearchConfig(depth=1))
         assert matmul_nest.pretty() == before
+
+
+class TestParallelismScoreFailures:
+    """Only typed domain rejections score ``-inf``; bugs propagate."""
+
+    def test_precondition_violation_scores_minus_inf(self, triangular_nest):
+        from repro.core.templates.reverse_permute import interchange
+
+        T = Transformation.of(interchange(2, 1, 2))
+        assert parallelism_score(T, triangular_nest, depset((0, 1))) == \
+            float("-inf")
+
+    def test_depth_mismatch_scores_minus_inf(self, matmul_nest):
+        from repro.core.templates.parallelize import Parallelize
+
+        for T in (Transformation.identity(2),
+                  Transformation.of(Parallelize(2, [True, False]))):
+            assert parallelism_score(T, matmul_nest, depset((0, 0, 1))) \
+                == float("-inf")
+
+    def test_untyped_fold_error_propagates(self, matmul_nest):
+        from repro.core.template import Template
+
+        class Broken(Template):
+            kernel_name = "Broken"
+
+            def params(self):
+                return ""
+
+            def map_dep_vector(self, vec):
+                return [vec]
+
+            def map_loops(self, loops, taken):
+                raise TypeError("bug inside a template")
+
+        T = Transformation.of(Broken(3))
+        with pytest.raises(TypeError, match="bug inside a template"):
+            parallelism_score(T, matmul_nest, depset((0, 0, 1)))
