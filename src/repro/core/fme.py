@@ -25,7 +25,8 @@ elimination order and a post-pass after every step (:func:`_tighten`):
 rows over index variables alone are floor-tightened, rows with no index
 variable are dropped (they relate invariants only, and their emptiness
 shows up in some variable's max-lower/min-upper pair), and the tightest
-row per coefficient vector is kept.
+row per coefficient vector is kept (the dominated-row rule the
+analyzer's elimination applies too, :func:`_drop_dominated`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.deps.analysis.linear_system import (
     LinConstraint,
     LinearSystem,
+    _drop_dominated,
     _eliminate,
 )
 from repro.expr.linear import affine_form
@@ -132,7 +134,7 @@ def _tighten(rows: Sequence[LinConstraint],
     and keep the tightest (smallest constant) row per coefficient
     vector, in order of first appearance."""
     index = set(names)
-    best: Dict[Tuple, LinConstraint] = {}
+    out: List[LinConstraint] = []
     for row in rows:
         if not any(v in index for v in row.coeffs):
             continue
@@ -142,11 +144,8 @@ def _tighten(rows: Sequence[LinConstraint],
                 row = LinConstraint(
                     {v: c // g for v, c in row.coeffs.items()},
                     row.const // g)
-        key = tuple(sorted(row.coeffs.items()))
-        old = best.get(key)
-        if old is None or row.const < old.const:
-            best[key] = row
-    return list(best.values())
+        out.append(row)
+    return _drop_dominated(out)
 
 
 def _expr(row: LinConstraint, atoms: Atoms,

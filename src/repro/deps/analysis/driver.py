@@ -9,19 +9,42 @@ Pipeline (standard practice per the paper's references [4, 15, 10, 6, 12]):
 3. per pair, build the affine subscript equalities and loop-bound
    constraints over the 2n iteration variables (plus symbolic
    invariants as free unknowns);
-4. enumerate direction vectors hierarchically (Burke–Cytron style),
-   pruning each partial assignment with a test ladder — GCD, then
-   Banerjee intervals, then (``level='fm'``) exact rational
-   Fourier–Motzkin;
-5. refine surviving leaves to distances where the system forces a
-   constant difference, and emit the paper-domain dependence vectors.
+4. project once, then enumerate: rewrite the pair's rows with
+   ``x$2 = x$1 + x$d`` and project them onto the n distance variables
+   ``x$d`` (the paper's dependence entries are exactly these
+   iteration-number differences), then enumerate direction vectors
+   hierarchically (Burke–Cytron style), pruning each partial
+   assignment with a test ladder — GCD, then Banerjee intervals, then
+   (``level='fm'``) exact rational Fourier–Motzkin on the projection
+   plus the direction rows, which bound ``x$d`` alone;
+5. refine surviving leaves to distances where the projection forces a
+   constant ``x$d``, and emit the paper-domain dependence vectors.
+
+Each pair's per-node work is as small as it can be made without
+changing an answer.  The GCD verdict reads no direction, so it is
+computed once per pair; Banerjee's interval is split once per pair
+into a direction-free part and per-code delta parts.  The projection
+happens on the pair's first Fourier–Motzkin query, under a
+``deps.project`` span (counted on ``deps.pairs_projected``), and every
+node and refinement after that runs FM over at most n variables
+instead of all 2n plus the invariants.  This is exact: the change of
+variables is unimodular, Fourier–Motzkin projection is exact over the
+rationals, and projection commutes with constraints on the kept
+variables — the system plus direction rows is feasible, and bounds
+``x$d``, exactly when the projection plus those rows is and does.  So
+a verdict or a distance differs from the full-system answer only
+where one of the two would give up at the cap; if the projection
+itself gives up, that pair's FM tier answers conservatively (every
+node feasible, no distance refined) and ``fme.give_up`` counts it
+once.  The tier counters ``deps.refuted.{gcd,banerjee,fm}`` and
+``deps.feasible`` still count one outcome per node.
 
 What does not depend on the pair is built once per analyzer and shared
 by every pair problem: the loop-bound rows over both iteration copies
-(``$1``/``$2``), the constant loop ranges the Banerjee tier reads, and
-the direction rows the enumeration appends.  Shared rows
-carry their cached dedupe keys and equality splits
-(:mod:`repro.deps.analysis.linear_system`) from pair to pair.
+(``$1``/``$2``) and their distance-space rewrite, the constant loop
+ranges the Banerjee tier reads, and the direction rows the enumeration
+appends.  Shared rows carry their cached dedupe keys and equality
+splits (:mod:`repro.deps.analysis.linear_system`) from pair to pair.
 
 Pairs with identical subscripts — the write→read, read→write and
 write→write pairs of ``a(i,j) = a(i,j) + ...`` — pose the same problem,
@@ -56,8 +79,8 @@ from repro.deps.analysis.references import (
 )
 from repro.deps.analysis.tests import (
     DIRECTION_INTERVALS,
+    BanerjeeForm,
     Equality,
-    banerjee_test,
     gcd_test,
 )
 from repro.deps.vector import DepEntry, DepSet, DepVector
@@ -101,38 +124,92 @@ def _affine_dict(expr: Expr, index_names: Sequence[str], suffix: str,
     return coeffs, Fraction(inv_form.rest.value)
 
 
+def _distance_name(name: str) -> str:
+    """The distance variable ``name$2 - name$1`` of iteration *name*."""
+    return f"{name}$d"
+
+
 def _direction_rows(name: str) -> Dict[str, Tuple[LinConstraint, ...]]:
-    """Per direction code, the rows bounding ``delta = name$2 - name$1``
-    to the code's interval."""
-    x2, x1 = f"{name}$2", f"{name}$1"
+    """Per direction code, the rows bounding the distance variable
+    ``name$d`` to the code's interval."""
+    d = _distance_name(name)
     out = {}
     for code, (lo, hi) in DIRECTION_INTERVALS.items():
         rows = []
-        if lo is not None:  # delta - lo >= 0
-            rows.append(LinConstraint.from_ints({x2: 1, x1: -1}, -int(lo)))
-        if hi is not None:  # hi - delta >= 0
-            rows.append(LinConstraint.from_ints({x2: -1, x1: 1}, int(hi)))
+        if lo is not None:  # d - lo >= 0
+            rows.append(LinConstraint.from_ints({d: 1}, -int(lo)))
+        if hi is not None:  # hi - d >= 0
+            rows.append(LinConstraint.from_ints({d: -1}, int(hi)))
         out[code] = tuple(rows)
     return out
 
 
+def _to_distance(row: LinConstraint,
+                 shift: Dict[str, Tuple[str, str]]) -> LinConstraint:
+    """*row* under the unimodular change of variables
+    ``x$2 = x$1 + x$d``: *shift* maps each ``x$2`` to ``(x$1, x$d)``."""
+    if not any(v in shift for v in row.coeffs):
+        return row
+    coeffs: Dict[str, int] = {}
+    for v, c in row.coeffs.items():
+        for w in shift.get(v, (v,)):
+            coeffs[w] = coeffs.get(w, 0) + c
+    return LinConstraint.from_ints(coeffs, row.const, row.equality)
+
+
 class _PairProblem:
-    """The constraint system for one ordered access pair."""
+    """The constraint system for one ordered access pair.
+
+    The cheap tiers' per-pair work happens once: the GCD verdict reads
+    no direction, and each equality's Banerjee interval is split into a
+    fixed part and per-code delta parts.  On the first Fourier–Motzkin
+    query the base rows are rewritten with ``x$2 = x$1 + x$d`` and
+    projected onto the distance variables; every direction node and
+    distance refinement after that works on the projection.
+    """
 
     def __init__(self, equalities: List[Equality], base: LinearSystem,
+                 distance_base: List[LinConstraint],
                  index_names: Sequence[str],
                  var_ranges: Dict[str, Tuple],
                  opaque_levels: Set[int],
                  direction_rows: Dict[str, Dict[str, Tuple]]):
         self.equalities = equalities
         self.base = base
+        self.distance_base = distance_base
         self.index_names = list(index_names)
         self.var_ranges = var_ranges
         self.opaque_levels = opaque_levels
         self.direction_rows = direction_rows
 
-    def with_directions(self, directions: Dict[str, str]) -> LinearSystem:
-        system = self.base.copy()
+    @cached_property
+    def gcd_passes(self) -> bool:
+        return all(gcd_test(eq) for eq in self.equalities)
+
+    @cached_property
+    def banerjee_forms(self) -> List[BanerjeeForm]:
+        return [BanerjeeForm(eq, self.var_ranges) for eq in self.equalities]
+
+    @cached_property
+    def distance_rows(self) -> Optional[List[LinConstraint]]:
+        """The base system, rewritten over the distance variables
+        (:attr:`distance_base`) and projected onto them, or ``None``
+        when the projection gave up."""
+        with _obs.span("deps.project", rows=len(self.distance_base)):
+            projected = LinearSystem(self.distance_base).project(
+                [_distance_name(nm) for nm in self.index_names])
+        if _obs.enabled():
+            get_metrics().counter("deps.pairs_projected").inc()
+        return projected
+
+    def with_directions(self, directions: Dict[str, str]
+                        ) -> Optional[LinearSystem]:
+        """The projection plus the direction rows of *directions*, or
+        ``None`` when the projection gave up."""
+        rows = self.distance_rows
+        if rows is None:
+            return None
+        system = LinearSystem(rows)
         for name, code in directions.items():
             system.constraints.extend(self.direction_rows[name][code])
         return system
@@ -197,6 +274,8 @@ class DependenceAnalyzer:
         self._iteration_vars = index_set | set(self.norm_names)
         self._direction_rows = {nm: _direction_rows(nm)
                                 for nm in self.norm_names}
+        self._shift = {f"{nm}$2": (f"{nm}$1", _distance_name(nm))
+                       for nm in self.norm_names}
 
     @cached_property
     def _bound_rows(self) -> List[LinConstraint]:
@@ -206,6 +285,12 @@ class DependenceAnalyzer:
         self._bound_constraints(system, "$1")
         self._bound_constraints(system, "$2")
         return system.constraints
+
+    @cached_property
+    def _distance_bound_rows(self) -> List[LinConstraint]:
+        """:attr:`_bound_rows` under ``x$2 = x$1 + x$d``, shared the
+        same way."""
+        return [_to_distance(row, self._shift) for row in self._bound_rows]
 
     def _bound_constraints(self, system: LinearSystem, suffix: str) -> None:
         for k, lp in enumerate(self.nest.loops):
@@ -320,10 +405,13 @@ class DependenceAnalyzer:
         system = LinearSystem()
         for eq in equalities:
             system.add_eq(dict(eq.coeffs), eq.const)
+        distance_base = [_to_distance(row, self._shift)
+                         for row in system.constraints]
+        distance_base.extend(self._distance_bound_rows)
         system.constraints.extend(self._bound_rows)
-        return _PairProblem(equalities, system, self.norm_names,
-                            self._const_ranges, self.opaque_levels,
-                            self._direction_rows)
+        return _PairProblem(equalities, system, distance_base,
+                            self.norm_names, self._const_ranges,
+                            self.opaque_levels, self._direction_rows)
 
     # -- the direction-vector hierarchy -------------------------------------------------
 
@@ -334,17 +422,16 @@ class DependenceAnalyzer:
         # show how much work the cheap tiers save the expensive ones.
         observing = _obs.enabled()
         metrics = get_metrics() if observing else None
-        for eq in problem.equalities:
-            if not gcd_test(eq):
-                if observing:
-                    metrics.counter("deps.refuted.gcd").inc()
-                return False
+        if not problem.gcd_passes:
+            if observing:
+                metrics.counter("deps.refuted.gcd").inc()
+            return False
         if self.level == "gcd":
             if observing:
                 metrics.counter("deps.feasible").inc()
             return True
-        for eq in problem.equalities:
-            if not banerjee_test(eq, problem.var_ranges, directions):
+        for form in problem.banerjee_forms:
+            if not form.passes(directions):
                 if observing:
                     metrics.counter("deps.refuted.banerjee").inc()
                 return False
@@ -352,7 +439,8 @@ class DependenceAnalyzer:
             if observing:
                 metrics.counter("deps.feasible").inc()
             return True
-        feasible = problem.with_directions(directions).is_feasible()
+        system = problem.with_directions(directions)
+        feasible = system is None or system.is_feasible()
         if observing:
             metrics.counter("deps.feasible" if feasible
                             else "deps.refuted.fm").inc()
@@ -370,11 +458,9 @@ class DependenceAnalyzer:
         if self.level != "fm" or code == "0":
             return base
         system = problem.with_directions(directions)
-        dname = f"{name}$d"
-        # name$d == name$2 - name$1
-        system.constraints.append(LinConstraint.from_ints(
-            {dname: 1, f"{name}$2": -1, f"{name}$1": 1}, 0, equality=True))
-        lo, hi = system.bounds_of(dname)
+        if system is None:
+            return base
+        lo, hi = system.bounds_of(_distance_name(name))
         if lo is not None and hi is not None and lo == hi and lo.denominator == 1:
             return DepEntry.distance(int(lo))
         return base

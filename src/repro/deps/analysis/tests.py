@@ -19,9 +19,8 @@ ruled out.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
-
-from repro.util.intmath import gcd_many
+from math import gcd, lcm
+from typing import Dict, Optional, Tuple
 
 Coeffs = Dict[str, Fraction]
 Interval = Tuple[Optional[Fraction], Optional[Fraction]]  # None = infinite
@@ -44,23 +43,12 @@ class Equality:
 
 def gcd_test(eq: Equality) -> bool:
     """True when integer solutions may exist (pass), False = refuted."""
-    denominators = [c.denominator for c in eq.coeffs.values()]
-    denominators.append(eq.const.denominator)
-    scale = 1
-    for d in denominators:
-        scale = scale * d // _gcd2(scale, d)
-    ints = [int(c * scale) for c in eq.coeffs.values()]
-    const = int(eq.const * scale)
-    g = gcd_many(ints)
+    scale = lcm(eq.const.denominator,
+                *(c.denominator for c in eq.coeffs.values()))
+    g = gcd(*(int(c * scale) for c in eq.coeffs.values()))
     if g == 0:
-        return const == 0
-    return const % g == 0
-
-
-def _gcd2(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a or 1
+        return eq.const == 0
+    return int(eq.const * scale) % g == 0
 
 
 def _iv_add(a: Interval, b: Interval) -> Interval:
@@ -97,6 +85,72 @@ DIRECTION_INTERVALS: Dict[str, Interval] = {
 }
 
 
+class BanerjeeForm:
+    """One equality's Banerjee interval, split by what reads a direction.
+
+    Rewriting ``x$2 = x$1 + delta`` moves each ``x$2`` coefficient onto
+    ``x$1`` and ``delta``.  The constant, the ``x$1`` terms over the loop
+    ranges and any unbounded extra symbol form :attr:`fixed`, built
+    once; :attr:`deltas` holds, per base variable and direction code,
+    the scaled ``delta`` interval (``None`` when the direction cannot
+    happen inside the range at all).  :meth:`passes` then only adds one
+    precomputed interval per constrained variable.
+    """
+
+    __slots__ = ("fixed", "deltas")
+
+    def __init__(self, eq: Equality, var_ranges: Dict[str, Interval]):
+        combined: Dict[str, Fraction] = {}
+        delta_coeffs: Dict[str, Fraction] = {}
+        extra: Dict[str, Fraction] = {}
+        for v, c in eq.coeffs.items():
+            if v.endswith("$1"):
+                base = v[:-2]
+                combined[base] = combined.get(base, Fraction(0)) + c
+            elif v.endswith("$2"):
+                base = v[:-2]
+                combined[base] = combined.get(base, Fraction(0)) + c
+                delta_coeffs[base] = delta_coeffs.get(base, Fraction(0)) + c
+            else:
+                extra[v] = extra.get(v, Fraction(0)) + c
+
+        total: Interval = (eq.const, eq.const)
+        for base, c in combined.items():
+            rng = var_ranges.get(base, (None, None))
+            total = _iv_add(total, _iv_scale(rng, c))
+        for v, c in extra.items():
+            total = _iv_add(total, _iv_scale((None, None), c))
+        self.fixed = total
+        self.deltas: Dict[str, Dict[str, Optional[Interval]]] = {}
+        for base, c in delta_coeffs.items():
+            rng = var_ranges.get(base, (None, None))
+            width: Interval = (None, None)
+            if rng[0] is not None and rng[1] is not None:
+                width = (rng[0] - rng[1], rng[1] - rng[0])
+            per_code: Dict[str, Optional[Interval]] = {}
+            for code, dir_iv in DIRECTION_INTERVALS.items():
+                delta_iv = _iv_intersect(dir_iv, width)
+                per_code[code] = (None if delta_iv is None
+                                  else _iv_scale(delta_iv, c))
+            self.deltas[base] = per_code
+
+    def passes(self, direction: Dict[str, str]) -> bool:
+        """True when a dependence cannot be ruled out under *direction*
+        (base name -> code; an absent name is ``'*'``)."""
+        total = self.fixed
+        for base, per_code in self.deltas.items():
+            iv = per_code[direction.get(base, "*")]
+            if iv is None:
+                return False  # direction impossible inside the range at all
+            total = _iv_add(total, iv)
+        lo, hi = total
+        if lo is not None and lo > 0:
+            return False
+        if hi is not None and hi < 0:
+            return False
+        return True
+
+
 def banerjee_test(eq: Equality,
                   var_ranges: Dict[str, Interval],
                   direction: Dict[str, str]) -> bool:
@@ -108,43 +162,8 @@ def banerjee_test(eq: Equality,
     equality that is neither a suffixed iteration variable nor in
     *var_ranges* (e.g. a symbolic invariant) is unbounded.
 
-    Returns True when a dependence cannot be ruled out.
+    Returns True when a dependence cannot be ruled out.  The analyzer
+    builds one :class:`BanerjeeForm` per equality and reuses it for
+    every direction it asks about.
     """
-    # Rewrite x$2 = x$1 + delta: coefficient a2 moves onto x$1 and delta.
-    combined: Dict[str, Fraction] = {}
-    delta_coeffs: Dict[str, Fraction] = {}
-    extra: Dict[str, Fraction] = {}
-    for v, c in eq.coeffs.items():
-        if v.endswith("$1"):
-            base = v[:-2]
-            combined[base] = combined.get(base, Fraction(0)) + c
-        elif v.endswith("$2"):
-            base = v[:-2]
-            combined[base] = combined.get(base, Fraction(0)) + c
-            delta_coeffs[base] = delta_coeffs.get(base, Fraction(0)) + c
-        else:
-            extra[v] = extra.get(v, Fraction(0)) + c
-
-    total: Interval = (eq.const, eq.const)
-    for base, c in combined.items():
-        rng = var_ranges.get(base, (None, None))
-        total = _iv_add(total, _iv_scale(rng, c))
-    for base, c in delta_coeffs.items():
-        dir_iv = DIRECTION_INTERVALS[direction.get(base, "*")]
-        rng = var_ranges.get(base, (None, None))
-        width: Interval = (None, None)
-        if rng[0] is not None and rng[1] is not None:
-            width = (rng[0] - rng[1], rng[1] - rng[0])
-        delta_iv = _iv_intersect(dir_iv, width)
-        if delta_iv is None:
-            return False  # direction impossible inside the range at all
-        total = _iv_add(total, _iv_scale(delta_iv, c))
-    for v, c in extra.items():
-        total = _iv_add(total, _iv_scale((None, None), c))
-
-    lo, hi = total
-    if lo is not None and lo > 0:
-        return False
-    if hi is not None and hi < 0:
-        return False
-    return True
+    return BanerjeeForm(eq, var_ranges).passes(direction)

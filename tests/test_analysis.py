@@ -102,6 +102,38 @@ class TestLinearSystem:
         lo, hi = s.bounds_of("x")
         assert lo == 3 and hi is None
 
+    def test_bounds_of_infeasible_is_none(self):
+        # x >= 2, x <= 1: no variable to eliminate, yet infeasible.
+        s = LinearSystem()
+        s.add_ge({"x": Fraction(1)}, Fraction(-2))
+        s.add_le({"x": Fraction(1)}, Fraction(-1))
+        assert s.bounds_of("x") == (None, None)
+        # Infeasible only through another variable: x >= y >= 5, x <= 3.
+        s = LinearSystem()
+        s.add_ge({"x": Fraction(1), "y": Fraction(-1)}, 0)
+        s.add_ge({"y": Fraction(1)}, Fraction(-5))
+        s.add_le({"x": Fraction(1)}, Fraction(-3))
+        assert s.bounds_of("x") == (None, None)
+        assert s.bounds_of("y") == (None, None)
+
+    def test_variable_free_contradiction(self):
+        s = LinearSystem([LinConstraint({}, -1)])
+        assert not s.is_feasible()
+        assert s.bounds_of("x") == (None, None)
+        assert [(r.coeffs, r.const) for r in s.project(["x"])] == [({}, -1)]
+
+    def test_project_keeps_only_named_variables(self):
+        # 0 <= x <= 4, y == x + d, 1 <= y <= 3: d ranges over [-3, 3].
+        s = LinearSystem()
+        s.add_ge({"x": Fraction(1)}, 0)
+        s.add_le({"x": Fraction(1)}, Fraction(-4))
+        s.add_eq({"y": Fraction(1), "x": Fraction(-1), "d": Fraction(-1)}, 0)
+        s.add_ge({"y": Fraction(1)}, Fraction(-1))
+        s.add_le({"y": Fraction(1)}, Fraction(-3))
+        rows = s.project(["d"])
+        assert rows and all(set(r.coeffs) == {"d"} for r in rows)
+        assert LinearSystem(rows).bounds_of("d") == s.bounds_of("d") == (-3, 3)
+
 
 class TestAnalyzeKnownNests:
     def test_stencil(self, stencil_nest):
@@ -364,12 +396,14 @@ class TestRowOrderInvariance:
         # Infeasible, but the first step already needs 3 rows.
         ([({"x": 1}, -k, False) for k in range(3)] +
          [({"x": -1}, -1, False), ({"x": 1, "y": 1}, 0, False)], 2),
-        # Feasible for x with the default cap; under cap 8, bounds_of("x")
-        # gives up after a step whose variable is picked by a name tie.
-        ([({"y": -1, "z": 2, "x": -3}, 4, True),
-          ({"w": -3, "x": 3, "y": 2}, -1, False),
-          ({"y": 1, "z": -1}, 0, False), ({"y": 2, "x": 2}, 5, True),
-          ({"z": 3}, -1, False), ({"z": -2}, 2, False)], 8),
+        # Feasible, x bounded below, with the default cap; under cap 8,
+        # bounds_of("x") gives up after a step whose variable is picked
+        # by a name tie.
+        ([({"y": 3}, -2, False), ({"z": -2, "y": 3}, -1, True),
+          ({"z": -2, "x": 3}, -2, False),
+          ({"y": -2, "w": -2, "z": -3}, 0, False),
+          ({"x": 1, "y": -2, "w": 3}, -5, False),
+          ({"y": 1, "w": -2, "z": 2}, -3, False)], 8),
     ])
     def test_give_up_under_shrunk_cap_ignores_row_order(self, rows, cap):
         uncapped = _answers(rows)
@@ -382,6 +416,60 @@ class TestRowOrderInvariance:
                 assert _answers(list(perm)) == capped
         finally:
             set_limits(None)
+
+
+def _answers_and_give_ups(rows):
+    obs.disable()
+    obs.get_metrics().clear()
+    obs.enable()
+    try:
+        answers = _answers(rows)
+        return answers, obs.get_metrics().counter("fme.give_up").value
+    finally:
+        obs.disable()
+        obs.get_metrics().clear()
+
+
+class TestImpliedRowPruning:
+    """Dropping dominated and box-implied rows after each elimination
+    step never changes an answer: wherever neither gives up, the plain
+    algorithm (dedupe only) gives the same verdicts and bounds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_system_rows)
+    def test_pruning_keeps_every_answer(self, rows):
+        import repro.deps.analysis.linear_system as ls
+        set_limits(GuardLimits(max_fme_constraints=300))
+        saved = ls._drop_dominated, ls._drop_box_implied
+        try:
+            pruned, pruned_give_ups = _answers_and_give_ups(rows)
+            ls._drop_dominated, ls._drop_box_implied = ls._dedupe, list
+            plain, plain_give_ups = _answers_and_give_ups(rows)
+        finally:
+            ls._drop_dominated, ls._drop_box_implied = saved
+            set_limits(None)
+        if plain_give_ups == pruned_give_ups == 0:
+            assert pruned == plain
+
+    def test_dominated_rows(self):
+        from repro.deps.analysis.linear_system import _drop_dominated
+        rows = [LinConstraint({"x": 1}, 3), LinConstraint({"x": 1, "y": 1}, 0),
+                LinConstraint({"x": 1}, -2), LinConstraint({"x": 2}, 1),
+                LinConstraint({"x": 1}, -2)]
+        kept = _drop_dominated(rows)
+        assert [(r.coeffs, r.const) for r in kept] == [
+            ({"x": 1}, -2), ({"x": 1, "y": 1}, 0), ({"x": 2}, 1)]
+
+    def test_box_implied_rows(self):
+        from repro.deps.analysis.linear_system import _drop_box_implied
+        # 0 <= x <= 2, 1 <= y: x + y >= 0 holds on the box, y - x >= 0
+        # does not (x = 2, y = 1), and x - y has no upper box for y.
+        rows = [LinConstraint({"x": 1}, 0), LinConstraint({"x": -1}, 2),
+                LinConstraint({"y": 1}, -1), LinConstraint({"x": 1, "y": 1}, 0),
+                LinConstraint({"y": 1, "x": -1}, 0),
+                LinConstraint({"x": 1, "y": -1}, 5)]
+        kept = _drop_box_implied(rows)
+        assert [r for r in rows if r not in kept] == [rows[3]]
 
 
 def _unmemoized(nest):
