@@ -19,6 +19,17 @@ interpreter:
   illegal Parallelize shows up as a wrong answer under the same
   schedules that expose it in the interpreter.
 
+Traced and untraced variants are compiled differently.  Both check the
+iteration cap once per innermost-loop entry rather than per iteration,
+raising the interpreter's error after the same iterations.  A variant
+compiled with ``trace_addresses=True`` keeps the interpreter's per-read
+evaluation order, so its address trace is exact.  An untraced variant
+has no trace to keep in order, so it also computes each loop-invariant
+subexpression once per innermost-loop entry and keeps an accumulator
+``X(s) += e`` whose element does not move in a local, storing it after
+the loop.  It adds in the same order, so the arrays it returns are
+identical, float data included.
+
 The interpreter stays the oracle; :class:`CompiledNest` is what the
 optimizer's scoring loops and the cache simulator feed on.
 """
@@ -74,7 +85,16 @@ def _is_builtin_call(func: str, arity: int) -> bool:
 
 
 class _Emitter:
-    """Lowers one nest (for one fixed array-name set) to Python source."""
+    """Lowers one nest (for one fixed array-name set) to Python source.
+
+    The innermost loop is where the time goes, so it gets three rewrites.
+    Its iteration sequence ``_r`` is materialized once per entry and cut to
+    the remaining iteration budget, so the cap costs one check per entry
+    instead of one per iteration.  Untraced variants also compute every
+    loop-invariant subexpression once per entry (:meth:`_invariant` says
+    which qualify) and keep an accumulator whose element does not move in a
+    local (:meth:`_accumulators`).
+    """
 
     def __init__(self, nest: LoopNest, arrays: Set[str], funcs: Set[str],
                  trace_vars: Optional[Tuple[str, ...]],
@@ -86,10 +106,23 @@ class _Emitter:
         self.trace_addresses = trace_addresses
         self.lines: List[str] = []
         self._tmp = 0
+        # Hoisting state, set only while the innermost body of an untraced
+        # variant is emitted: the names that stay fixed over that loop, the
+        # arrays the nest writes, the hoisted source -> temp name, and
+        # whether an array read may be hoisted from the current position.
+        self._fixed: Optional[Set[str]] = None
+        self._written: Set[str] = set()
+        self._hoisted: Dict[str, str] = {}
+        self._reads_ok = True
+        #: Body index -> accumulator temp, for scalar-replaced statements.
+        self._acc: Dict[int, str] = {}
 
     # -- expressions -------------------------------------------------------
 
     def expr(self, e: Expr) -> str:
+        if (self._fixed is not None and not isinstance(e, (Const, Var))
+                and self._invariant(e)):
+            return self._hoist(e)
         if isinstance(e, Const):
             return str(e.value) if e.value >= 0 else f"({e.value})"
         if isinstance(e, Var):
@@ -139,6 +172,73 @@ class _Emitter:
             return f"_rd({name!r}, _arr_{name}, {index_src})"
         return f"_arr_{name}[{index_src}]"
 
+    # -- loop-invariant code motion ----------------------------------------
+
+    def _invariant(self, e: Expr) -> bool:
+        """Whether *e* may be computed once per innermost-loop entry.
+
+        It must not raise and must give the same value on every iteration:
+        only fixed names, arithmetic that cannot divide by zero, the pure
+        builtins, and reads of arrays the nest never writes.  A user
+        function may have effects, so it stays in the loop.  A read under
+        an ``If`` stays too: hoisted, it would add an array the
+        interpreter never touches to the result.
+        """
+        if isinstance(e, Const):
+            return True
+        if isinstance(e, Var):
+            return e.name in self._fixed
+        if isinstance(e, (FloorDiv, CeilDiv, Mod)):
+            if not isinstance(e.den, Const) or e.den.value == 0:
+                return False
+        elif isinstance(e, Call):
+            if e.func in self.arrays:
+                if e.func in self._written or not self._reads_ok:
+                    return False
+            elif not (e.args and _is_builtin_call(e.func, len(e.args))):
+                return False
+        elif not isinstance(e, (Add, Mul, Min, Max)):
+            return False
+        return all(self._invariant(c) for c in children(e))
+
+    def _hoist(self, e: Expr) -> str:
+        fixed, self._fixed = self._fixed, None
+        try:
+            src = self.expr(e)
+        finally:
+            self._fixed = fixed
+        name = self._hoisted.get(src)
+        if name is None:
+            name = self._hoisted[src] = f"_h{len(self._hoisted) + 1}"
+        return name
+
+    def _accumulators(self, flat: List[Statement]) -> List[int]:
+        """Body indices of the statements ``X(s) += e`` to scalar-replace.
+
+        ``s`` must be loop-invariant and ``X`` must be neither read
+        anywhere in the nest nor written by another statement, so no other
+        access can observe the element while its running sum lives in a
+        local.
+        """
+        called = {f for f, _ in _calls(self.nest)}
+        targets = [s.target.name for s in flat if isinstance(s, Assign)]
+        return [k for k, s in enumerate(self.nest.body)
+                if isinstance(s, Assign) and s.accumulate
+                and s.target.name not in called
+                and targets.count(s.target.name) == 1
+                and all(self._invariant(x) for x in s.target.subscripts)]
+
+    @staticmethod
+    def _flat(stmts: Sequence[Statement]) -> List[Statement]:
+        """*stmts* with every ``If`` followed by its guarded statement."""
+        out: List[Statement] = []
+        for s in stmts:
+            while isinstance(s, If):
+                out.append(s)
+                s = s.then
+            out.append(s)
+        return out
+
     # -- statements --------------------------------------------------------
 
     def emit(self, text: str, depth: int) -> None:
@@ -149,7 +249,9 @@ class _Emitter:
             self._assign(s, depth)
         elif isinstance(s, If):
             self.emit(f"if {self.expr(s.cond)} != 0:", depth)
+            reads_ok, self._reads_ok = self._reads_ok, False
             self.stmt(s.then, depth + 1)
+            self._reads_ok = reads_ok
         elif isinstance(s, InitStmt):
             self.emit(f"{s.var} = {self.expr(s.expr)}", depth)
         else:
@@ -157,11 +259,10 @@ class _Emitter:
 
     def _assign(self, s: Assign, depth: int) -> None:
         name = s.target.name
+        value = self.expr(s.expr)
         subs = ", ".join(self.expr(x) for x in s.target.subscripts)
         index_src = f"({subs},)"
-        value = self.expr(s.expr)
-        simple = not self.trace_addresses
-        if simple and not s.accumulate:
+        if not self.trace_addresses and not s.accumulate:
             self.emit(f"_arr_{name}[{index_src}] = {value}", depth)
             return
         self._tmp += 1
@@ -169,12 +270,73 @@ class _Emitter:
         # Interpreter order: value, then subscripts, then (for accumulate)
         # the read of the old element, then the write.
         self.emit(f"{v} = {value}", depth)
+        if not self.trace_addresses:
+            self.emit(f"_arr_{name}[{index_src}] += {v}", depth)
+            return
         self.emit(f"{ix} = {index_src}", depth)
         if s.accumulate:
             self.emit(f"{v} = {self.read(name, ix)} + {v}", depth)
         self.emit(f"_arr_{name}[{ix}] = {v}", depth)
-        if self.trace_addresses:
-            self.emit(f"_ap(({name!r}, {ix}, 'W'))", depth)
+        self.emit(f"_ap(({name!r}, {ix}, 'W'))", depth)
+
+    def body(self, depth: int) -> None:
+        """One iteration: inits, the iteration-trace record, statements."""
+        for init in self.nest.inits:
+            self.emit(f"{init.var} = {self.expr(init.expr)}", depth)
+        if self.trace_vars is not None:
+            vars_src = ", ".join(self.trace_vars)
+            comma = "," if len(self.trace_vars) == 1 else ""
+            self.emit(f"_it(({vars_src}{comma}))", depth)
+        for k, s in enumerate(self.nest.body):
+            acc = self._acc.get(k)
+            if acc is None:
+                self.stmt(s, depth)
+            else:
+                self.emit(f"{acc} += {self.expr(s.expr)}", depth)
+
+    def innermost(self, index: str, seq: str, depth: int,
+                  symbols: Sequence[str]) -> None:
+        """The innermost loop over *seq*: the iteration cap checked once
+        per entry, invariants hoisted in front, accumulators stored after.
+        Hoists and loads run only when the loop runs, so a zero-trip loop
+        neither raises on an unbound name nor touches an array."""
+        self.emit(f"_r = {seq}", depth)
+        self.emit("_over = len(_r) > _max_iterations - _count", depth)
+        self.emit("if _over:", depth)
+        self.emit("    _r = _r[:max(_max_iterations - _count, 0)]", depth)
+        self.emit("if _r:", depth)
+        outer, self.lines = self.lines, []
+        stores: List[str] = []
+        if not self.trace_addresses:
+            flat = self._flat(self.nest.body)
+            inits = {i.var for i in self.nest.inits}
+            inits |= {s.var for s in flat if isinstance(s, InitStmt)}
+            self._written = {s.target.name for s in flat
+                             if isinstance(s, Assign)}
+            self._fixed = ((set(symbols) | set(self.nest.indices[:-1]))
+                           - inits - {index})
+            for k in self._accumulators(flat):
+                s = self.nest.body[k]
+                self._tmp += 1
+                acc, ix = f"_acc{self._tmp}", f"_ix{self._tmp}"
+                subs = ", ".join(self.expr(x) for x in s.target.subscripts)
+                self.emit(f"{ix} = ({subs},)", depth + 1)
+                self.emit(f"{acc} = _arr_{s.target.name}[{ix}]", depth + 1)
+                stores.append(f"_arr_{s.target.name}[{ix}] = {acc}")
+                self._acc[k] = acc
+        self.emit(f"for {index} in _r:", depth + 1)
+        self.body(depth + 2)
+        inner, self.lines = self.lines, outer
+        for src, name in self._hoisted.items():
+            self.emit(f"{name} = {src}", depth + 1)
+        self.lines += inner
+        for store in stores:
+            self.emit(store, depth + 1)
+        self.emit("_count += len(_r)", depth + 1)
+        self.emit("if _over:", depth)
+        self.emit("    raise _ReproError('interpreter exceeded %d iterations'"
+                  " % _max_iterations)", depth)
+        self._fixed = None
 
     # -- the function ------------------------------------------------------
 
@@ -219,24 +381,23 @@ class _Emitter:
                           depth)
                 rng = f"range({lo}, {hi} + (1 if {st} > 0 else -1), {st})"
             if lp.kind == PARDO:
-                self.emit(f"for {lp.index} in _order(list({rng}), {level}):",
-                          depth)
+                rng = f"_order(list({rng}), {level})"
+            if level == nest.depth - 1:
+                self.innermost(lp.index, rng, depth, symbols)
             else:
                 self.emit(f"for {lp.index} in {rng}:", depth)
-            depth += 1
+                depth += 1
 
-        self.emit("_count += 1", depth)
-        self.emit("if _count > _max_iterations:", depth)
-        self.emit("    raise _ReproError('interpreter exceeded %d iterations'"
-                  " % _max_iterations)", depth)
-        for init in nest.inits:
-            self.emit(f"{init.var} = {self.expr(init.expr)}", depth)
-        if self.trace_vars is not None:
-            vars_src = ", ".join(self.trace_vars)
-            comma = "," if len(self.trace_vars) == 1 else ""
-            self.emit(f"_it(({vars_src}{comma}))", depth)
-        for s in nest.body:
-            self.stmt(s, depth)
+        if not nest.loops:
+            self.emit("_count += 1", 0)
+            self.emit("if _count > _max_iterations:", 0)
+            self.emit("    raise _ReproError('interpreter exceeded %d "
+                      "iterations' % _max_iterations)", 0)
+            self.body(0)
+        if _obs.enabled():
+            metrics = get_metrics()
+            metrics.counter("compiled.hoisted_exprs").inc(len(self._hoisted))
+            metrics.counter("compiled.scalar_replaced").inc(len(self._acc))
         self.emit("return _count", 0)
         return "\n".join(self.lines) + "\n"
 

@@ -1,7 +1,8 @@
 """Vectorized NumPy execution: the third engine behind the interpreter.
 
 :class:`~repro.runtime.compiled.CompiledNest` lowers a nest to Python
-loops (~15x over the interpreter); this module lowers the *same
+loops (14-35x over the interpreter on the four example kernels, untraced,
+on a 2-core x86-64); this module lowers the *same
 transformed IR* to NumPy whole-array expressions.  The innermost run of
 dense loops (the *suffix*) becomes one kernel launch per surrounding
 (*prefix*) iteration: affine subscripts become broadcast index vectors,
@@ -1037,11 +1038,12 @@ class VectorizedNest:
                     offs: Tuple[int, ...]) -> Array:
         default = self._prepared[name][2]
         hot = arr != default
-        coords = _np.argwhere(hot)
-        if any(offs):
-            coords = coords + _np.array(offs, dtype=_np.int64)
-        data: Dict[Tuple[int, ...], int] = dict(
-            zip(map(tuple, coords.tolist()), arr[hot].tolist()))
+        # One list per axis, zipped into key tuples: the same keys in the
+        # same (row-major) order as argwhere rows, without a tuple() call
+        # per cell.
+        keys = zip(*((ax + off if off else ax).tolist()
+                     for ax, off in zip(hot.nonzero(), offs)))
+        data: Dict[Tuple[int, ...], int] = dict(zip(keys, arr[hot].tolist()))
         return Array(default, name, data)
 
     # -- prefix walk + kernel launch ----------------------------------------

@@ -28,15 +28,26 @@ SCHEDULE_IDS = ["seq", "reverse", "shuffle"]
 
 
 def rand_arrays(names, rank, rng, default=0):
-    """Sparse random content for every base array of a nest."""
+    """Sparse random content for every base array of a nest, at every
+    rank up to *rank* (a nest may subscript an array with fewer indices
+    than it has loops)."""
     out = {}
     for nm in sorted(names):
         arr = Array(default, nm)
-        for _ in range(20):
-            idx = tuple(rng.randrange(0, 8) for _ in range(rank))
-            arr[idx] = rng.randrange(-50, 50)
+        for r in range(1, rank + 1):
+            for _ in range(20):
+                idx = tuple(rng.randrange(0, 8) for _ in range(r))
+                arr[idx] = rng.randrange(-50, 50)
         out[nm] = arr
     return out
+
+
+def outcome(engine, arrays):
+    """``(result, None)`` or ``(None, (error type, message))``."""
+    try:
+        return engine.run(arrays), None
+    except Exception as exc:  # compared by the caller, not swallowed
+        return None, (type(exc).__name__, str(exc))
 
 
 def assert_engines_agree(nest, arrays, symbols, schedule, funcs=None):
@@ -47,16 +58,8 @@ def assert_engines_agree(nest, arrays, symbols, schedule, funcs=None):
     comp = CompiledNest(nest, symbols=symbols, funcs=funcs,
                         schedule=schedule, trace_vars=(),
                         trace_addresses=True)
-    try:
-        ref = interp.run(arrays)
-        ref_err = None
-    except Exception as exc:  # compared below, not swallowed
-        ref, ref_err = None, (type(exc).__name__, str(exc))
-    try:
-        got = comp.run(arrays)
-        got_err = None
-    except Exception as exc:
-        got, got_err = None, (type(exc).__name__, str(exc))
+    ref, ref_err = outcome(interp, arrays)
+    got, got_err = outcome(comp, arrays)
     assert ref_err == got_err
     if ref_err is not None:
         return
@@ -65,6 +68,26 @@ def assert_engines_agree(nest, arrays, symbols, schedule, funcs=None):
         assert ref.arrays[nm] == got.arrays[nm], f"array {nm} differs"
     assert ref.iteration_trace == got.iteration_trace
     assert ref.address_trace == got.address_trace
+    assert ref.body_count == got.body_count
+
+
+def assert_untraced_agree(nest, arrays, symbols, schedule, funcs=None):
+    """The untraced twin: no traces, so the compiled engine hoists loop
+    invariants and keeps accumulators in locals.  Final arrays, the set of
+    array names, the body count and any error must still match."""
+    interp = Interpreter(nest, symbols=symbols, funcs=funcs,
+                         schedule=schedule)
+    comp = CompiledNest(nest, symbols=symbols, funcs=funcs,
+                        schedule=schedule)
+    ref, ref_err = outcome(interp, arrays)
+    got, got_err = outcome(comp, arrays)
+    assert ref_err == got_err
+    if ref_err is not None:
+        return
+    assert set(ref.arrays) == set(got.arrays)
+    for nm in ref.arrays:
+        assert ref.arrays[nm] == got.arrays[nm], f"array {nm} differs"
+    assert got.iteration_trace is None and got.address_trace is None
     assert ref.body_count == got.body_count
 
 
@@ -79,6 +102,7 @@ def test_examples_differential(path, schedule):
     names = CompiledNest(nest)._base_arrays
     arrays = rand_arrays(names, max(1, nest.depth), rng)
     assert_engines_agree(nest, arrays, symbols, schedule)
+    assert_untraced_agree(nest, arrays, symbols, schedule)
 
 
 EDGE_NESTS = [
@@ -103,6 +127,36 @@ EDGE_NESTS = [
      "+ eq(i,j)*100\n enddo\nenddo", {}),
     ("abs-sgn", "do i = -4, 4\n a(i) = abs(i) + sgn(i)*10\nenddo", {}),
     ("accum-init", "do i = 1, 6\n t = i*2\n a(t) += t\nenddo", {}),
+    # An invariant accumulator whose array another statement reads: the
+    # read must see every partial sum, so no scalar replacement.
+    ("accum-read-elsewhere",
+     "do i = 1, 4\n do j = 1, 5\n  s(i) += j\n  b(i, j) = s(i)\n enddo\n"
+     "enddo", {}),
+    # Another statement writes the accumulator's array: no replacement.
+    ("accum-written-elsewhere",
+     "do i = 1, 4\n do j = 1, 5\n  s(i) += j\n  s(6 - j) = i\n enddo\n"
+     "enddo", {}),
+    # An invariant read of an array the nest writes: not hoisted.
+    ("invariant-read-written",
+     "do i = 1, 4\n do j = 1, 4\n  a(i, j) = b(i) * 2\n  b(j) = b(j) + i\n"
+     " enddo\nenddo", {}),
+    ("zerotrip-invariant",
+     "do i = 1, 3\n do j = 5, 1\n  z(i) += q(i + n)\n enddo\nenddo",
+     {"n": 2}),
+    ("accum-symbol-subscript",
+     "do i = 1, 3\n do j = 1, 4\n  s(i + n) += b(j) * abs(i - 3)\n enddo\n"
+     "enddo", {"n": 2}),
+    # The subscript is an init target, so it moves every iteration.
+    ("accum-init-target",
+     "do i = 1, 3\n do j = 1, 4\n  t = j\n  s(t) += i\n enddo\nenddo", {}),
+    # The init redefines a symbol: n moves every iteration, so neither
+    # n * i nor the subscript n is invariant.
+    ("init-shadows-symbol",
+     "do i = 1, 3\n do j = 1, 4\n  n = j\n  s(n) += b(n * i)\n enddo\n"
+     "enddo", {"n": 2}),
+    ("accum-guarded",
+     "do i = 1, 3\n do j = 1, 4\n  if (j > 2) s(i) += j * c(i)\n enddo\n"
+     "enddo", {}),
 ]
 
 
@@ -115,6 +169,7 @@ def test_edge_nests_differential(tag, src, symbols, schedule):
     names = CompiledNest(nest)._base_arrays
     arrays = rand_arrays(names, max(1, nest.depth), rng)
     assert_engines_agree(nest, arrays, symbols, schedule)
+    assert_untraced_agree(nest, arrays, symbols, schedule)
 
 
 def test_array_read_in_bounds_differential():
@@ -127,6 +182,7 @@ def test_array_read_in_bounds_differential():
         s[(k,)] = k
     for schedule in SCHEDULES:
         assert_engines_agree(nest, {"s": s}, {}, schedule)
+        assert_untraced_agree(nest, {"s": s}, {}, schedule)
 
 
 def test_zero_step_raises_same_error():
@@ -146,10 +202,13 @@ def test_funcs_and_runtime_array_shadowing():
     funcs = {"f": lambda x: x * x, "g": lambda x, y: x + y}
     for schedule in SCHEDULES:
         assert_engines_agree(nest, {}, {}, schedule, funcs=funcs)
+        assert_untraced_agree(nest, {}, {}, schedule, funcs=funcs)
     shadow = Array(3, "f")
     shadow[(2,)] = 99
     for schedule in SCHEDULES:
         assert_engines_agree(nest, {"f": shadow}, {}, schedule, funcs=funcs)
+        assert_untraced_agree(nest, {"f": shadow}, {}, schedule,
+                              funcs=funcs)
 
 
 def test_inputs_not_mutated():
@@ -190,3 +249,132 @@ def test_trace_vars_subset():
     assert ref.iteration_trace == got.iteration_trace
     assert got.iteration_trace == [(j,) for _ in range(3)
                                    for j in range(1, 4)]
+
+
+# -- the untraced fast path: invariants, accumulators, the iteration cap ----
+
+def test_zero_trip_invariant_leaves_arrays_absent():
+    """A zero-trip inner loop must neither load the invariant accumulator
+    nor read the invariant operand: both arrays stay out of the result."""
+    nest = parse_nest("do i = 1, 3\n do j = 5, 1\n  z(i) += q(i + n)\n"
+                      " enddo\nenddo")
+    for traced in (False, True):
+        got = CompiledNest(nest, symbols={"n": 2},
+                           trace_addresses=traced).run({})
+        assert got.arrays == {} and got.body_count == 0
+
+
+def test_guarded_invariant_read_not_hoisted():
+    """A read under an ``If`` that never holds touches nothing."""
+    nest = parse_nest("do i = 1, 3\n do j = 1, 4\n  if (j > 9) a(i, j) = c(i)\n"
+                      " enddo\nenddo")
+    ref = Interpreter(nest).run({})
+    got = CompiledNest(nest).run({})
+    assert set(ref.arrays) == set(got.arrays) == set()
+
+
+def test_user_func_in_invariant_position_called_every_iteration():
+    nest = parse_nest("do i = 1, 3\n do j = 1, 4\n  a(i, j) = f(i) + j\n"
+                      " enddo\nenddo")
+    calls = {"interp": [], "comp": []}
+
+    def recorder(key):
+        return {"f": lambda x: calls[key].append(x) or x * 10}
+
+    ref = Interpreter(nest, funcs=recorder("interp")).run({})
+    got = CompiledNest(nest, funcs=recorder("comp")).run({})
+    assert calls["comp"] == calls["interp"] == [1] * 4 + [2] * 4 + [3] * 4
+    assert ref.arrays["a"] == got.arrays["a"]
+
+
+def test_float_accumulation_bit_identical():
+    """The scalar-replaced accumulator adds in the interpreter's order, so
+    float sums that depend on association come out identical."""
+    nest = parse_nest("do i = 1, 2\n do j = 1, 6\n  s(i) += x(j) * y(i)\n"
+                      " enddo\nenddo")
+    x = Array.from_values([1e16, 1.0, -1e16, 0.1, 0.2, 0.3])
+    y = Array.from_values([1.0, 3.0])
+    s = Array(0.5, "s")
+    arrays = {"x": x, "y": y, "s": s}
+    engine = CompiledNest(nest)
+    got = engine.run(arrays)
+    assert "_acc" in engine.source and "_h1 = _arr_y[(i,)]" in engine.source
+    ref = Interpreter(nest).run(arrays)
+    assert got.arrays["s"].data == ref.arrays["s"].data
+    naive = sum(x[(j,)] * y[(1,)] for j in range(1, 7)) + 0.5
+    assert ref.arrays["s"][(1,)] != naive  # the order is observable
+
+
+def test_invariant_accumulator_counters():
+    """matmul after interchange(1,2) keeps ``A(i, j)`` in a local when
+    untraced; a traced variant keeps per-read emission."""
+    from repro import obs
+    from repro.api import Transformation, analyze
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "examples",
+                           "loops", "matmul.loop")) as fh:
+        nest = parse_nest(fh.read())
+    out = Transformation.from_spec("interchange(1,2)", 3).apply(
+        nest, analyze(nest))
+    counts = {}
+    for traced in (False, True):
+        obs.disable()
+        obs.get_metrics().clear()
+        obs.enable()
+        try:
+            CompiledNest(out, symbols={"n": 3},
+                         trace_addresses=traced).run({})
+            counters = obs.get_metrics().snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.get_metrics().clear()
+        counts[traced] = (counters.get("compiled.scalar_replaced", 0),
+                          counters.get("compiled.hoisted_exprs", 0))
+    assert counts == {False: (1, 0), True: (0, 0)}
+
+
+CAP_NEST = ("do i = 1, 4\n do j = 1, i - 2\n  pardo k = 1, 3\n"
+            "   a(i, j, k) += i * j + k\n  enddo\n enddo\nenddo")
+
+
+def test_iteration_cap_exact_for_every_cap():
+    """Every cap from -1 to one past the iteration total: the compiled
+    engine, traced and untraced, raises the interpreter's exact error or
+    returns its body count and arrays."""
+    nest = parse_nest(CAP_NEST)
+    schedule = Schedule("shuffle", seed=3)
+    total = Interpreter(nest, schedule=schedule).run({}).body_count
+    assert total == (0 + 0 + 1 + 2) * 3
+    for cap in range(-1, total + 2):
+        ref, ref_err = outcome(
+            Interpreter(nest, schedule=schedule, max_iterations=cap,
+                        trace_vars=()), {})
+        assert (ref_err is None) == (cap >= total)
+        for traced in (False, True):
+            got, got_err = outcome(
+                CompiledNest(nest, schedule=schedule, max_iterations=cap,
+                             trace_addresses=traced, trace_vars=()), {})
+            assert got_err == ref_err, (cap, traced)
+            if ref_err is None:
+                assert got.body_count == ref.body_count
+                assert got.arrays["a"] == ref.arrays["a"]
+                if traced:
+                    assert got.iteration_trace == ref.iteration_trace
+
+
+def test_iteration_cap_against_raising_body():
+    """The body divides by zero at iteration 3 (i=1, j=3): a cap below 3
+    raises the cap error, a cap at or above it the division error."""
+    nest = parse_nest("do i = 1, 3\n do j = 1, 4\n"
+                      "  a(i, j) = div(12, i * 4 + j - 7)\n enddo\nenddo")
+    for cap in range(14):
+        want = "ReproError" if cap < 3 else "ZeroDivisionError"
+        _, ref_err = outcome(Interpreter(nest, max_iterations=cap), {})
+        assert ref_err[0] == want
+        for traced in (False, True):
+            _, got_err = outcome(
+                CompiledNest(nest, max_iterations=cap,
+                             trace_addresses=traced), {})
+            assert got_err[0] == want, (cap, traced)
+            if want == "ReproError":
+                assert got_err == ref_err

@@ -447,3 +447,27 @@ def test_service_run_selects_engines():
     warm = svc._op_run({"text": text, "symbols": {"n": 5},
                         "engine": "vectorized"})
     assert warm["warm"] is True
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5), (3, 4, 2)],
+                         ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("offset", [0, -3, 2], ids=["zero", "neg", "pos"])
+def test_write_back_matches_argwhere_keys(shape, offset):
+    """The per-axis key builder gives the dict the argwhere rows gave,
+    key order included, with a nonzero default among the values."""
+    from types import SimpleNamespace
+
+    rng = numpy.random.default_rng(len(shape) * 10 + offset)
+    default = 7
+    arr = rng.integers(0, 4, size=shape) + 5  # about a quarter at default
+    offs = tuple(offset * (axis + 1) for axis in range(len(shape)))
+    fake = SimpleNamespace(_prepared={"a": (None, None, default, 0)})
+    got = VectorizedNest._write_back(fake, "a", arr, offs)
+
+    hot = arr != default
+    coords = numpy.argwhere(hot) + numpy.array(offs, dtype=numpy.int64)
+    want = dict(zip(map(tuple, coords.tolist()), arr[hot].tolist()))
+    assert 0 < len(want) < arr.size
+    assert list(got.data.items()) == list(want.items())
+    assert got.default == default and got.name == "a"
+    assert all(type(k) is int for key in got.data for k in key)
