@@ -7,14 +7,17 @@ to ``BENCH_<workload>.json`` at the repo root::
 
     python scripts/bench_record.py --workload execute --seeds 21,22,23
 
-A record holds the commit, the seeds, the median, q1 and q3 over the
-seeds of ``ops_per_s``, ``latency_tail_ms`` and ``peak_rss_mb``, every
-per-seed value, and the nonzero ``*.busy_s`` layers of the traced run.
+Every run lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes.  A
+record holds the commit (git HEAD), the seeds, the median, q1 and q3 over
+the seeds of ``ops_per_s``, ``latency_tail_ms`` and ``peak_rss_mb``,
+every per-seed value, and the nonzero ``*.busy_s`` layers of one traced
+run on the first seed.
 
 ``--baseline DIR`` measures a second checkout too (a ``git archive`` of
 the parent, say): one pair of runs per seed, alternating which side runs
 first, so load drifts hit both alike.  The baseline's record is appended
-before this checkout's.
+before this checkout's; ``--baseline-commit`` names its commit when the
+copy has no ``.git``.
 Exit 1 if any run fails or reports a wrong answer.
 """
 
@@ -65,6 +68,12 @@ def commit_of(checkout: str) -> Optional[str]:
     return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
+def run_seconds() -> float:
+    """The run length ``BENCHMARK.json`` fixes for every workload."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return float(json.load(fh)["run_seconds"])
+
+
 def quartiles(values: List[float]) -> Dict[str, float]:
     if len(values) == 1:
         q1 = med = q3 = values[0]
@@ -75,7 +84,7 @@ def quartiles(values: List[float]) -> Dict[str, float]:
 
 def record(commit: Optional[str], workload: str, seeds: List[int],
            seconds: float, runs: List[Dict[str, float]],
-           traced: Dict[str, float], trace_seed: int) -> Dict:
+           traced: Dict[str, float]) -> Dict:
     return {
         "commit": commit,
         "workload": workload,
@@ -87,7 +96,7 @@ def record(commit: Optional[str], workload: str, seeds: List[int],
         "runs": [{"seed": s, **{name: round(r[name], 4)
                                 for name in SUMMARISED}}
                  for s, r in zip(seeds, runs)],
-        "traced": {"seed": trace_seed,
+        "traced": {"seed": seeds[0],
                    **{name: round(value, 4)
                       for name, value in sorted(traced.items())
                       if name.endswith(".busy_s") and value}},
@@ -101,21 +110,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True,
                         help="comma-separated perfbench seeds, one "
                              "untraced run each")
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--trace-seed", type=int, default=None,
-                        help="seed of the traced run (default: the first)")
-    parser.add_argument("--commit", default=None,
-                        help="commit to record (default: git HEAD)")
     parser.add_argument("--baseline", default=None,
                         help="a second checkout, measured alternately")
-    parser.add_argument("--baseline-commit", default=None)
-    parser.add_argument("--out", default=None,
-                        help="default: BENCH_<workload>.json at the root")
+    parser.add_argument("--baseline-commit", default=None,
+                        help="the baseline's commit (default: its git HEAD)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    trace_seed = args.trace_seed if args.trace_seed is not None else seeds[0]
+    seconds = run_seconds()
     sides = [(args.baseline, args.baseline_commit)] if args.baseline else []
-    sides.append((ROOT, args.commit))
+    sides.append((ROOT, None))
     runs: List[List[Dict[str, float]]] = [[] for _ in sides]
     try:
         for pair, seed in enumerate(seeds):
@@ -125,23 +128,23 @@ def main(argv=None) -> int:
             for k in (order if pair % 2 == 0 else reversed(order)):
                 checkout = sides[k][0]
                 runs[k].append(run_perfbench(checkout, args.workload, seed,
-                                             args.seconds, 0))
+                                             seconds, 0))
                 print(f"{checkout} seed {seed}: ops_per_s "
                       f"{runs[k][-1]['ops_per_s']:.1f}", file=sys.stderr)
-        traced = [run_perfbench(checkout, args.workload, trace_seed,
-                                args.seconds, 1) for checkout, _ in sides]
+        traced = [run_perfbench(checkout, args.workload, seeds[0],
+                                seconds, 1) for checkout, _ in sides]
     except RuntimeError as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
     doc = {"workload": args.workload, "records": []}
     if os.path.exists(out):
         with open(out) as fh:
             doc = json.load(fh)
     for k, (checkout, commit) in enumerate(sides):
         doc["records"].append(record(commit or commit_of(checkout),
-                                     args.workload, seeds, args.seconds,
-                                     runs[k], traced[k], trace_seed))
+                                     args.workload, seeds, seconds,
+                                     runs[k], traced[k]))
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -301,9 +301,12 @@ class _Emitter:
         Hoists and loads run only when the loop runs, so a zero-trip loop
         neither raises on an unbound name nor touches an array."""
         self.emit(f"_r = {seq}", depth)
-        self.emit("_over = len(_r) > _max_iterations - _count", depth)
+        # The budget is clamped at 0, so an empty _r never trips the cap,
+        # even a negative one: the interpreter checks only in the body.
+        self.emit("_left = max(_max_iterations - _count, 0)", depth)
+        self.emit("_over = len(_r) > _left", depth)
         self.emit("if _over:", depth)
-        self.emit("    _r = _r[:max(_max_iterations - _count, 0)]", depth)
+        self.emit("    _r = _r[:_left]", depth)
         self.emit("if _r:", depth)
         outer, self.lines = self.lines, []
         stores: List[str] = []

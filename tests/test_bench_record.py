@@ -1,7 +1,8 @@
 """``scripts/bench_record.py``: records appended to a BENCH file.
 
-The perfbench runs are stubbed; what is checked is the record shape, the
-quartiles and the alternation of a baseline with the checkout.
+The perfbench runs and the commit lookup are stubbed and the repo root
+points at a temporary directory; what is checked is the record shape,
+the quartiles and the alternation of a baseline with the checkout.
 """
 
 import importlib.util
@@ -15,10 +16,14 @@ SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts",
 
 
 @pytest.fixture
-def bench_record():
+def bench_record(monkeypatch, tmp_path):
     spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
+    monkeypatch.setattr(module, "ROOT", str(tmp_path))
+    monkeypatch.setattr(module, "commit_of",
+                        lambda checkout: f"head of {checkout}")
     return module
 
 
@@ -33,6 +38,7 @@ def test_alternating_records_appended(bench_record, monkeypatch, tmp_path):
     calls = []
 
     def fake_run(checkout, workload, seed, seconds, trace):
+        assert seconds == 7.0  # BENCHMARK.json's run_seconds
         calls.append((checkout, seed, trace))
         fast = checkout == bench_record.ROOT
         return {"ops_per_s": seed * (2.0 if fast else 1.0),
@@ -44,9 +50,8 @@ def test_alternating_records_appended(bench_record, monkeypatch, tmp_path):
     out = tmp_path / "BENCH_execute.json"
     out.write_text(json.dumps({"workload": "execute", "records": [{}]}))
     code = bench_record.main([
-        "--workload", "execute", "--seeds", "1,2,3", "--seconds", "1",
-        "--baseline", "/elsewhere", "--baseline-commit", "abc",
-        "--commit", "def", "--out", str(out)])
+        "--workload", "execute", "--seeds", "1,2,3",
+        "--baseline", "/elsewhere", "--baseline-commit", "abc"])
     assert code == 0
     assert calls == [("/elsewhere", 1, 0), (bench_record.ROOT, 1, 0),
                      (bench_record.ROOT, 2, 0), ("/elsewhere", 2, 0),
@@ -55,7 +60,9 @@ def test_alternating_records_appended(bench_record, monkeypatch, tmp_path):
     records = json.loads(out.read_text())["records"]
     assert len(records) == 3  # the earlier record is kept
     base, change = records[1:]
-    assert (base["commit"], change["commit"]) == ("abc", "def")
+    assert (base["commit"], change["commit"]) == (
+        "abc", f"head of {tmp_path}")
+    assert base["seconds"] == change["seconds"] == 7.0
     assert base["seeds"] == change["seeds"] == [1, 2, 3]
     assert base["summary"]["ops_per_s"]["median"] == 2.0
     assert change["summary"]["ops_per_s"] == {"median": 4.0, "q1": 3.0,
@@ -72,6 +79,5 @@ def test_failed_run_writes_nothing(bench_record, monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_record, "run_perfbench", failing)
     out = tmp_path / "BENCH_execute.json"
-    assert bench_record.main(["--workload", "execute", "--seeds", "1",
-                              "--out", str(out)]) == 1
+    assert bench_record.main(["--workload", "execute", "--seeds", "1"]) == 1
     assert not out.exists()

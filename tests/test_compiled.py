@@ -335,31 +335,52 @@ def test_invariant_accumulator_counters():
 
 CAP_NEST = ("do i = 1, 4\n do j = 1, i - 2\n  pardo k = 1, 3\n"
             "   a(i, j, k) += i * j + k\n  enddo\n enddo\nenddo")
+#: Innermost loops that never run: a negative cap must not trip on them,
+#: since the interpreter checks the cap only when a body runs; the second
+#: nest's zero-trip entry comes before a zero step.
+ZERO_TRIP_CAP_NESTS = (
+    "do i = 1, 2\n do j = 5, 1\n  a(i, j) += i\n enddo\nenddo",
+    "do i = 1, 2\n do j = 3, 1, 2 - i\n  a(i, j) += i\n enddo\nenddo",
+)
+
+
+def assert_cap_agrees(nest, cap, schedule):
+    """Interpreter and compiled engine, traced and untraced, under one
+    cap: the same error, or the same body count, arrays and iterations."""
+    ref, ref_err = outcome(
+        Interpreter(nest, schedule=schedule, max_iterations=cap,
+                    trace_vars=()), {})
+    for traced in (False, True):
+        got, got_err = outcome(
+            CompiledNest(nest, schedule=schedule, max_iterations=cap,
+                         trace_addresses=traced, trace_vars=()), {})
+        assert got_err == ref_err, (cap, traced)
+        if ref_err is None:
+            assert got.body_count == ref.body_count
+            assert got.arrays.keys() == ref.arrays.keys()
+            for name in ref.arrays:
+                assert got.arrays[name] == ref.arrays[name]
+            if traced:
+                assert got.iteration_trace == ref.iteration_trace
+    return ref_err
 
 
 def test_iteration_cap_exact_for_every_cap():
-    """Every cap from -1 to one past the iteration total: the compiled
+    """Every cap from -2 to one past the iteration total: the compiled
     engine, traced and untraced, raises the interpreter's exact error or
     returns its body count and arrays."""
     nest = parse_nest(CAP_NEST)
     schedule = Schedule("shuffle", seed=3)
     total = Interpreter(nest, schedule=schedule).run({}).body_count
     assert total == (0 + 0 + 1 + 2) * 3
-    for cap in range(-1, total + 2):
-        ref, ref_err = outcome(
-            Interpreter(nest, schedule=schedule, max_iterations=cap,
-                        trace_vars=()), {})
+    for cap in range(-2, total + 2):
+        ref_err = assert_cap_agrees(nest, cap, schedule)
         assert (ref_err is None) == (cap >= total)
-        for traced in (False, True):
-            got, got_err = outcome(
-                CompiledNest(nest, schedule=schedule, max_iterations=cap,
-                             trace_addresses=traced, trace_vars=()), {})
-            assert got_err == ref_err, (cap, traced)
-            if ref_err is None:
-                assert got.body_count == ref.body_count
-                assert got.arrays["a"] == ref.arrays["a"]
-                if traced:
-                    assert got.iteration_trace == ref.iteration_trace
+    loops_only, zero_step = map(parse_nest, ZERO_TRIP_CAP_NESTS)
+    for cap in (-2, -1, 0, 1):
+        assert assert_cap_agrees(loops_only, cap, schedule) is None
+        assert assert_cap_agrees(zero_step, cap, schedule) == (
+            "ReproError", "loop j has zero step at run time")
 
 
 def test_iteration_cap_against_raising_body():
