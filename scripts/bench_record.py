@@ -9,7 +9,7 @@ to ``BENCH_<workload>.json`` at the repo root::
 
 Every run lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes.  A
 record holds the commit (git HEAD), the seeds, the median, q1 and q3 over
-the seeds of ``ops_per_s``, ``latency_tail_ms`` and ``peak_rss_mb``,
+the seeds of every ``end_to_end`` metric ``BENCHMARK.json`` declares,
 every per-seed value, and the nonzero ``*.busy_s`` layers of one traced
 run on the first seed.
 
@@ -30,13 +30,9 @@ import statistics
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: End-to-end metrics summarised by median and quartiles.
-SUMMARISED = ("ops_per_s", "latency_tail_ms", "peak_rss_mb")
-
 
 def run_perfbench(checkout: str, workload: str, seed: int, seconds: float,
                   trace: int) -> Dict[str, float]:
@@ -68,10 +64,13 @@ def commit_of(checkout: str) -> Optional[str]:
     return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
-def run_seconds() -> float:
-    """The run length ``BENCHMARK.json`` fixes for every workload."""
+def benchmark() -> Tuple[float, List[str]]:
+    """The run length ``BENCHMARK.json`` fixes for every workload, and
+    the names of its end-to-end metrics."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        return float(json.load(fh)["run_seconds"])
+        doc = json.load(fh)
+    return (float(doc["run_seconds"]),
+            [metric["name"] for metric in doc["end_to_end"]])
 
 
 def quartiles(values: List[float]) -> Dict[str, float]:
@@ -83,7 +82,7 @@ def quartiles(values: List[float]) -> Dict[str, float]:
 
 
 def record(commit: Optional[str], workload: str, seeds: List[int],
-           seconds: float, runs: List[Dict[str, float]],
+           seconds: float, names: List[str], runs: List[Dict[str, float]],
            traced: Dict[str, float]) -> Dict:
     return {
         "commit": commit,
@@ -92,9 +91,9 @@ def record(commit: Optional[str], workload: str, seeds: List[int],
         "seconds": seconds,
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "summary": {name: quartiles([r[name] for r in runs])
-                    for name in SUMMARISED},
+                    for name in names},
         "runs": [{"seed": s, **{name: round(r[name], 4)
-                                for name in SUMMARISED}}
+                                for name in names}}
                  for s, r in zip(seeds, runs)],
         "traced": {"seed": seeds[0],
                    **{name: round(value, 4)
@@ -116,7 +115,7 @@ def main(argv=None) -> int:
                         help="the baseline's commit (default: its git HEAD)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    seconds = run_seconds()
+    seconds, names = benchmark()
     sides = [(args.baseline, args.baseline_commit)] if args.baseline else []
     sides.append((ROOT, None))
     runs: List[List[Dict[str, float]]] = [[] for _ in sides]
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
     for k, (checkout, commit) in enumerate(sides):
         doc["records"].append(record(commit or commit_of(checkout),
                                      args.workload, seeds, seconds,
-                                     runs[k], traced[k]))
+                                     names, runs[k], traced[k]))
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

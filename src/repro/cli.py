@@ -178,7 +178,7 @@ def cmd_transform(args) -> int:
     T = parse_steps(args.steps, nest.depth)
     deps = analyze(nest, level=args.level)
     if args.trace:
-        dep_trace = T.dep_set_trace(deps)
+        dep_trace = T.dep_set_trace(deps, nest)
         loop_trace = T.loop_trace(nest)
         names = ["START"] + [s.kernel_name for s in T.steps]
         for name, d, loops in zip(names, dep_trace, loop_trace):

@@ -15,11 +15,11 @@ of the unified legality test decompose over the sequence:
   template code (legality of ``T`` never improves by appending to it,
   because the bounds fold fails at the same step with the same error).
 
-The cache replicates :meth:`Transformation.legality` exactly: identical
-``LegalityReport`` fields (reason strings, failed step index, final
-dependence set with identical vector order, violation object) for every
-input, which the property tests in ``tests/test_legality_cache.py``
-enforce against the uncached implementation.
+The cache is the legality fold's long-lived memo: a miss runs
+:func:`repro.core.sequence.fold_legality`, the walk
+:meth:`Transformation.legality` runs with a one-shot memo, over this
+cache's tables (:class:`_TableMemo`), so every ``LegalityReport`` field
+is the uncached one by construction.
 
 Keys are *content* keys: dependence sets key by their ordered entry
 tuples (``DepSet.__hash__`` is order-insensitive, but the failure reason
@@ -29,24 +29,29 @@ reorderings); template steps key by type, depth and ``to_spec()`` (plus
 to small integers so hot lookups never re-hash deep structures.
 
 On a legal verdict (a miss or a content hit) the cache also seeds the
-transformation's one-slot fold memo (:meth:`Transformation.final_loops`)
-with the final headers its bounds table already holds, so a scorer
-reading them next does not fold the sequence again.  Seeding only reads
-the tables: it never adds an entry or touches the LRU order.
+transformation's one-slot fold memo with the final headers its bounds
+table already holds and the dependence set, so a scorer reading
+:meth:`Transformation.final_loops` next does not fold the sequence
+again, and :meth:`Transformation.apply` on the same nest and dependence
+set objects does not test it again.  Seeding only reads the tables: it
+never adds an entry or touches the LRU order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.codegen import collect_taken
-from repro.core.sequence import LegalityReport, Transformation
+from repro.core.sequence import (
+    LegalityReport,
+    Transformation,
+    fold_bounds,
+    fold_legality,
+    mismatch_report,
+)
 from repro.core.template import Template
 from repro.deps.vector import DepSet
 from repro.ir.loopnest import Loop, LoopNest
-from repro.obs import trace as _obs
 from repro.resilience import chaos as _chaos
-from repro.util.errors import CodegenError, PreconditionViolation
 
 
 def depset_key(deps: DepSet) -> Tuple:
@@ -229,19 +234,6 @@ class LegalityCache:
         return (len(self._verdicts) + len(self._map_cache) +
                 len(self._bounds_cache))
 
-    def sizes(self) -> Dict[str, int]:
-        """Per-table entry counts, for service stats and debugging."""
-        return {
-            "verdicts": len(self._verdicts),
-            "dep_verdicts": len(self._dep_verdicts),
-            "map_cache": len(self._map_cache),
-            "bounds_cache": len(self._bounds_cache),
-            "verdict_by_obj": len(self._verdict_by_obj),
-            "interned_steps": len(self._step_ids),
-            "interned_deps": len(self._deps_ids),
-            "interned_nests": len(self._nest_ids),
-        }
-
     # -- the memoized test -------------------------------------------------
 
     def legality(self, transformation: Transformation, nest: LoopNest,
@@ -255,162 +247,21 @@ class LegalityCache:
             self.hits += 1
             self._touch(self._verdict_by_obj, okey)
             return pinned[1]
-        if nest.depth != transformation.input_depth:
-            report = LegalityReport(
-                False, f"nest has {nest.depth} loops, transformation "
-                       f"expects {transformation.input_depth}")
-            self._verdict_by_obj[okey] = ((transformation, nest, deps),
-                                          report)
-            self._bound(self._verdict_by_obj)
-            return report
-        steps = transformation.steps
-        step_ids = tuple(self._intern_step(s) for s in steps)
-        deps_id = self._intern_deps(deps)
-        nest_id = self._intern_nest(nest)
-        vkey = (nest_id, deps_id, step_ids)
-        report = self._verdicts.get(vkey)
-        if report is not None:
-            self.hits += 1
-            self._touch(self._verdicts, vkey)
-        else:
-            self.misses += 1
-            report = self._compute(steps, step_ids, nest, nest_id,
-                                   deps, deps_id)
-            self._verdicts[vkey] = report
-            self._bound(self._verdicts)
-        if report.legal:
-            # Seed the scorer's fold memo with the final headers the
-            # bounds table holds (none for the identity, or for a prefix
-            # a bounded cache evicted: the scorer then folds itself).
-            state = self._bounds_cache.get((nest_id, step_ids))
-            if state is not None and state[0] == "ok":
-                transformation._remember_fold(nest, state[1])
+        report = mismatch_report(nest, transformation.input_depth)
+        if report is None:
+            report, nest_id, step_ids = self._verdict(
+                transformation, nest, deps, exact=True)
+            if report.legal:
+                # Seed the fold memo with the final headers the bounds
+                # table holds (none for a prefix a bounded cache evicted:
+                # the scorer then folds itself, and apply re-checks).
+                state = (self._bounds_cache.get((nest_id, step_ids))
+                         if step_ids else ("ok", nest.loops))
+                if state is not None and state[0] == "ok":
+                    transformation._remember_fold(nest, state[1], deps)
         self._verdict_by_obj[okey] = ((transformation, nest, deps), report)
         self._bound(self._verdict_by_obj)
         return report
-
-    def _compute(self, steps: Sequence[Template], step_ids: Tuple[int, ...],
-                 nest: LoopNest, nest_id: int,
-                 deps: DepSet, deps_id: int) -> LegalityReport:
-        # Spans only on the miss path: verdict-cache hits in `legality`
-        # stay span-free so the memoized fast path pays nothing.
-        # (a) dependence vector test, mapped one memoized step at a time.
-        with _obs.span("legality.map_deps", steps=len(steps)):
-            final = self._map_deps(steps, step_ids, deps, deps_id,
-                                   nest, nest_id)
-        if final.can_be_lex_negative():
-            bad = [str(v) for v in final if v.can_be_lex_negative()]
-            return LegalityReport(
-                False,
-                "transformed dependence set admits a lexicographically "
-                f"negative tuple: {', '.join(bad)}",
-                final_deps=final)
-        # (b) loop bounds test over the longest novel suffix.
-        with _obs.span("legality.bounds", steps=len(steps)):
-            state = self._bounds(steps, step_ids, nest, nest_id)
-        if state[0] == "pre":
-            _, idx, exc = state
-            return LegalityReport(False, str(exc), failed_step=idx,
-                                  final_deps=final, violation=exc)
-        if state[0] == "cg":
-            _, idx, exc = state
-            return LegalityReport(
-                False, f"{steps[idx].signature()}: {exc}", failed_step=idx,
-                final_deps=final)
-        return LegalityReport(True, final_deps=final)
-
-    def _map_deps(self, steps: Sequence[Template], step_ids: Tuple[int, ...],
-                  deps: DepSet, deps_id: int,
-                  nest: LoopNest, nest_id: int) -> DepSet:
-        current, current_id = deps, deps_id
-        # Context-sensitive steps (Block, Interleave) need the loop
-        # headers they receive to widen anchored decompositions; fold
-        # them through the memoized per-prefix bounds cache, exactly as
-        # Transformation._dep_contexts folds them directly.
-        sensitive = any(s.dep_context_sensitive for s in steps)
-        loops: Optional[Tuple[Loop, ...]] = nest.loops if sensitive else None
-        for idx, (step, sid) in enumerate(zip(steps, step_ids)):
-            ctx = None
-            if loops is not None and step.dep_context_sensitive:
-                ctx = step.dep_context(loops)
-            mkey = ((current_id, sid) if ctx is None
-                    else (current_id, sid, ctx))
-            hit = self._map_cache.get(mkey)
-            if hit is not None:
-                self._touch(self._map_cache, mkey)
-            else:
-                self.dep_map_evals += 1
-                mapped = step.map_dep_set(current, ctx)
-                key = depset_key(mapped)
-                mapped_id = self._deps_ids.get(key)
-                if mapped_id is None:
-                    mapped_id = len(self._deps_ids)
-                    self._deps_ids[key] = mapped_id
-                hit = (mapped, mapped_id)
-                self._map_cache[mkey] = hit
-                self._bound(self._map_cache)
-                if self._delta_log is not None:
-                    self._delta_log.append(
-                        ("map", depset_key(current), template_key(step),
-                         ctx, mapped))
-            current, current_id = hit
-            if loops is not None and idx + 1 < len(steps):
-                state = self._bounds(steps[:idx + 1], step_ids[:idx + 1],
-                                     nest, nest_id)
-                loops = state[1] if state[0] == "ok" else None
-        return current
-
-    def _bounds(self, steps: Sequence[Template], step_ids: Tuple[int, ...],
-                nest: LoopNest, nest_id: int) -> Tuple:
-        n = len(steps)
-        start = 0
-        loops: Optional[Tuple[Loop, ...]] = None
-        taken_frozen: Optional[frozenset] = None
-        for k in range(n, 0, -1):
-            state = self._bounds_cache.get((nest_id, step_ids[:k]))
-            if state is not None:
-                self._touch(self._bounds_cache, (nest_id, step_ids[:k]))
-                if state[0] != "ok":
-                    return state
-                _, loops, taken_frozen = state
-                start = k
-                break
-        if loops is None:
-            loops = nest.loops
-            taken_frozen = frozenset(collect_taken(nest))
-        taken = set(taken_frozen)
-        for idx in range(start, n):
-            step = steps[idx]
-            prefix = (nest_id, step_ids[:idx + 1])
-            try:
-                self.bounds_step_evals += 1
-                step.check_preconditions(loops)
-                loops, _ = step.map_loops(loops, taken)
-            except PreconditionViolation as exc:
-                state = ("pre", idx, exc)
-                self._bounds_cache[prefix] = state
-                self._bound(self._bounds_cache)
-                self._log_bounds(steps, idx, state)
-                return state
-            except CodegenError as exc:
-                state = ("cg", idx, exc)
-                self._bounds_cache[prefix] = state
-                self._bound(self._bounds_cache)
-                self._log_bounds(steps, idx, state)
-                return state
-            taken_frozen = frozenset(taken)
-            state = ("ok", loops, taken_frozen)
-            self._bounds_cache[prefix] = state
-            self._bound(self._bounds_cache)
-            self._log_bounds(steps, idx, state)
-        return ("ok", loops, taken_frozen)
-
-    def _log_bounds(self, steps: Sequence[Template], idx: int,
-                    state: Tuple) -> None:
-        if self._delta_log is not None:
-            self._delta_log.append(
-                ("bounds", tuple(template_key(s) for s in steps[:idx + 1]),
-                 state))
 
     # -- speculative tier: the dependence half alone -----------------------
     #
@@ -435,36 +286,42 @@ class LegalityCache:
         does.
         """
         self._maybe_flush()
-        if nest.depth != transformation.input_depth:
-            return LegalityReport(
-                False, f"nest has {nest.depth} loops, transformation "
-                       f"expects {transformation.input_depth}")
+        report = mismatch_report(nest, transformation.input_depth)
+        if report is None:
+            report = self._verdict(transformation, nest, deps,
+                                   exact=False)[0]
+        return report
+
+    def _verdict(self, transformation: Transformation, nest: LoopNest,
+                 deps: DepSet, exact: bool
+                 ) -> Tuple[LegalityReport, int, Tuple[int, ...]]:
+        """The verdict table's answer (the dep-verdict table's when not
+        *exact*), folding the sequence through this cache's tables on a
+        miss; also the nest's and steps' interned ids."""
         steps = transformation.steps
         step_ids = tuple(self._intern_step(s) for s in steps)
         deps_id = self._intern_deps(deps)
         nest_id = self._intern_nest(nest)
         vkey = (nest_id, deps_id, step_ids)
-        report = self._dep_verdicts.get(vkey)
+        table = self._verdicts if exact else self._dep_verdicts
+        report = table.get(vkey)
+        self._count(exact, report is not None)
         if report is not None:
-            self.dep_hits += 1
-            self._touch(self._dep_verdicts, vkey)
-            return report
-        self.dep_misses += 1
-        with _obs.span("legality.map_deps", steps=len(steps)):
-            final = self._map_deps(steps, step_ids, deps, deps_id,
-                                   nest, nest_id)
-        if final.can_be_lex_negative():
-            bad = [str(v) for v in final if v.can_be_lex_negative()]
-            report = LegalityReport(
-                False,
-                "transformed dependence set admits a lexicographically "
-                f"negative tuple: {', '.join(bad)}",
-                final_deps=final)
+            self._touch(table, vkey)
         else:
-            report = LegalityReport(True, final_deps=final)
-        self._dep_verdicts[vkey] = report
-        self._bound(self._dep_verdicts)
-        return report
+            # The fold's spans sit on this miss path only, so verdict
+            # hits stay span-free.
+            memo = _TableMemo(self, steps, step_ids, nest_id, deps_id)
+            report = fold_legality(steps, nest, deps, memo, exact)[0]
+            table[vkey] = report
+            self._bound(table)
+        return report, nest_id, step_ids
+
+    def _count(self, exact: bool, hit: bool) -> None:
+        """Count a verdict (*exact*) or dep-verdict hit or miss."""
+        name = ("hits" if hit else "misses") if exact else (
+            "dep_hits" if hit else "dep_misses")
+        setattr(self, name, getattr(self, name) + 1)
 
     def prefix_loops(self, transformation: Transformation,
                      nest: LoopNest) -> Optional[Tuple[Loop, ...]]:
@@ -477,8 +334,9 @@ class LegalityCache:
         if not steps:
             return nest.loops
         step_ids = tuple(self._intern_step(s) for s in steps)
-        nest_id = self._intern_nest(nest)
-        state = self._bounds(steps, step_ids, nest, nest_id)
+        memo = _TableMemo(self, steps, step_ids, self._intern_nest(nest),
+                          None)
+        state = fold_bounds(steps, nest, memo, len(steps))
         return state[1] if state[0] == "ok" else None
 
     # -- parallel-search delta protocol ------------------------------------
@@ -500,21 +358,8 @@ class LegalityCache:
         a trailing ``("verdict", ...)`` entry (always present, even when
         the verdict itself was a local hit, so the replaying cache can
         attribute one hit or miss per candidate)."""
-        if nest.depth != transformation.input_depth:
-            # Mirrors the depth-mismatch early return in `legality`:
-            # no stats, no shared-table entries, nothing to replay.
-            return self.legality(transformation, nest, deps), []
-        log: List[Tuple] = []
-        previous = self._delta_log
-        self._delta_log = log
-        try:
-            report = self.legality(transformation, nest, deps)
-        finally:
-            self._delta_log = previous
-        log.append(
-            ("verdict",
-             tuple(template_key(s) for s in transformation.steps), report))
-        return report, log
+        return self._with_delta(self.legality, "verdict", transformation,
+                                nest, deps)
 
     def dep_legality_with_delta(
             self, transformation: Transformation, nest: LoopNest,
@@ -523,18 +368,26 @@ class LegalityCache:
         :meth:`legality_with_delta`; the trailing entry is
         ``("dep_verdict", ...)`` so replay attributes it to the
         dep-verdict table and counters."""
+        return self._with_delta(self.dep_legality, "dep_verdict",
+                                transformation, nest, deps)
+
+    def _with_delta(self, test, kind: str, transformation: Transformation,
+                    nest: LoopNest, deps: DepSet
+                    ) -> Tuple[LegalityReport, List[Tuple]]:
         if nest.depth != transformation.input_depth:
-            return self.dep_legality(transformation, nest, deps), []
+            # A depth mismatch touches no counter and no shared table:
+            # nothing to replay.
+            return test(transformation, nest, deps), []
         log: List[Tuple] = []
         previous = self._delta_log
         self._delta_log = log
         try:
-            report = self.dep_legality(transformation, nest, deps)
+            report = test(transformation, nest, deps)
         finally:
             self._delta_log = previous
         log.append(
-            ("dep_verdict",
-             tuple(template_key(s) for s in transformation.steps), report))
+            (kind, tuple(template_key(s) for s in transformation.steps),
+             report))
         return report, log
 
     def merge_delta(self, nest: LoopNest, deps: DepSet,
@@ -575,34 +428,18 @@ class LegalityCache:
                     self.bounds_step_evals += 1
                     self._bounds_cache[bkey] = state
                     self._bound(self._bounds_cache)
-            elif kind == "verdict":
+            elif kind in ("verdict", "dep_verdict"):
                 _, step_keys, worker_report = entry
                 sids = tuple(step_ids.setdefault(k, len(step_ids))
                              for k in step_keys)
                 vkey = (nest_id, deps_id, sids)
-                cached = self._verdicts.get(vkey)
-                if cached is not None:
-                    self.hits += 1
-                    report = cached
-                else:
-                    self.misses += 1
-                    self._verdicts[vkey] = worker_report
-                    self._bound(self._verdicts)
-                    report = worker_report
-            elif kind == "dep_verdict":
-                _, step_keys, worker_report = entry
-                sids = tuple(step_ids.setdefault(k, len(step_ids))
-                             for k in step_keys)
-                vkey = (nest_id, deps_id, sids)
-                cached = self._dep_verdicts.get(vkey)
-                if cached is not None:
-                    self.dep_hits += 1
-                    report = cached
-                else:
-                    self.dep_misses += 1
-                    self._dep_verdicts[vkey] = worker_report
-                    self._bound(self._dep_verdicts)
-                    report = worker_report
+                exact = kind == "verdict"
+                table = self._verdicts if exact else self._dep_verdicts
+                report = table.get(vkey)
+                self._count(exact, report is not None)
+                if report is None:
+                    report = table[vkey] = worker_report
+                    self._bound(table)
             else:
                 raise ValueError(f"unknown delta entry kind: {kind!r}")
         return report
@@ -653,3 +490,59 @@ class LegalityCache:
         self.dep_hits = self.dep_misses = 0
         self.dep_map_evals = self.bounds_step_evals = 0
         self.evictions = self.flushes = 0
+
+
+class _TableMemo:
+    """A cache's tables as the legality fold's memo for one sequence on
+    one nest; new entries count as evaluations and are delta-logged."""
+
+    __slots__ = ("cache", "steps", "step_ids", "nest_id", "deps_id")
+
+    def __init__(self, cache: LegalityCache, steps: Sequence[Template],
+                 step_ids: Tuple[int, ...], nest_id: int,
+                 deps_id: Optional[int]):
+        self.cache = cache
+        self.steps = steps
+        self.step_ids = step_ids
+        self.nest_id = nest_id
+        self.deps_id = deps_id  # of the set the next map_step maps
+
+    def map_step(self, idx: int, step: Template, current: DepSet,
+                 ctx) -> DepSet:
+        cache = self.cache
+        sid = self.step_ids[idx]
+        mkey = ((self.deps_id, sid) if ctx is None
+                else (self.deps_id, sid, ctx))
+        hit = cache._map_cache.get(mkey)
+        if hit is not None:
+            cache._touch(cache._map_cache, mkey)
+        else:
+            cache.dep_map_evals += 1
+            mapped = step.map_dep_set(current, ctx)
+            hit = (mapped, cache._deps_ids.setdefault(
+                depset_key(mapped), len(cache._deps_ids)))
+            cache._map_cache[mkey] = hit
+            cache._bound(cache._map_cache)
+            if cache._delta_log is not None:
+                cache._delta_log.append(
+                    ("map", depset_key(current), template_key(step), ctx,
+                     mapped))
+        self.deps_id = hit[1]
+        return hit[0]
+
+    def prefix(self, k: int) -> Optional[Tuple]:
+        key = (self.nest_id, self.step_ids[:k])
+        state = self.cache._bounds_cache.get(key)
+        if state is not None:
+            self.cache._touch(self.cache._bounds_cache, key)
+        return state
+
+    def store(self, k: int, state: Tuple) -> None:
+        cache = self.cache
+        cache.bounds_step_evals += 1
+        cache._bounds_cache[(self.nest_id, self.step_ids[:k])] = state
+        cache._bound(cache._bounds_cache)
+        if cache._delta_log is not None:
+            cache._delta_log.append(
+                ("bounds", tuple(template_key(s) for s in self.steps[:k]),
+                 state))

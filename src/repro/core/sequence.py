@@ -14,6 +14,9 @@ The class provides the paper's two uniform operations:
   possible lexicographically negative tuple (only the *final* set
   matters — intermediate stages may be individually illegal); (b) check
   every step's loop-bounds preconditions against the loops it receives.
+  Both halves are one fold, :func:`fold_legality`, over a memo: a
+  one-shot one here, :class:`~repro.core.legality_cache.LegalityCache`
+  in search.
 * :meth:`Transformation.apply` — uniform code generation: fold the loop
   headers through every step's bounds mapping and emit initialization
   statements in the order ``INIT_k, ..., INIT_1``.
@@ -23,14 +26,16 @@ testing them never mutates a nest (Section 5).  A transformation does
 remember one thing about the last nest it was folded over — the final
 loop headers, in a one-slot memo keyed by that nest's identity — so a
 scorer asking for the headers right after a legality test does not fold
-the sequence again.  The slot caches a pure function of
-``(steps, nest)``, is filled only by a successful fold, and is dropped
-on pickling; it never changes any answer.
+the sequence again; after a legal verdict it also holds the dependence
+set object, so :meth:`apply` on that nest and set does not test again.
+The slot caches pure functions of its keys, is filled only by a
+successful fold, and is dropped on pickling; it never changes any
+answer.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.codegen import assemble_nest, collect_taken
 from repro.core.template import Template
@@ -93,7 +98,9 @@ class Transformation:
                 f"first step expects {steps[0].n} loops, not n={n}")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_n", n if n is not None else steps[0].n)
-        # (nest, final loop headers) of the last successful bounds fold.
+        # (nest, final loop headers, DepSet or None) of the last
+        # successful bounds fold; the DepSet is set when a legality test
+        # found the sequence legal for (nest, DepSet).
         object.__setattr__(self, "_fold", None)
 
     def __setattr__(self, name, value):
@@ -200,96 +207,33 @@ class Transformation:
         """``T(D)``: fold every step's Table 2 rule over the set.
 
         When *nest* is given, each context-sensitive step (Block,
-        Interleave) receives its :meth:`~Template.dep_context` for the
-        loops it would see, so anchored decompositions widen soundly
-        (DESIGN.md, soundness tightening 4); without a nest the fold is
-        the paper's loop-independent — possibly under-approximate —
-        mapping.
+        Interleave, Coalesce) receives its :meth:`~Template.dep_context`
+        for the loops it would see, so anchored decompositions widen
+        soundly (DESIGN.md, soundness tightening 4); without a nest the
+        fold is the paper's loop-independent — possibly
+        under-approximate — mapping.
         """
-        current = deps
-        for step, ctx in zip(self.steps, self._dep_contexts(nest)):
-            current = step.map_dep_set(current, ctx)
-        return current
+        return self.dep_set_trace(deps, nest)[-1]
 
     def dep_set_trace(self, deps: DepSet,
                       nest: Optional[LoopNest] = None) -> List[DepSet]:
         """The dependence set after each stage, ``[D_0, D_1, ..., D_k]``
-        (used to regenerate the paper's Figure 7 table)."""
-        trace = [deps]
-        for step, ctx in zip(self.steps, self._dep_contexts(nest)):
-            trace.append(step.map_dep_set(trace[-1], ctx))
-        return trace
-
-    def _dep_contexts(self, nest: Optional[LoopNest]) -> List:
-        """Per-step dependence-mapping contexts (input loops folded
-        through the sequence); all None when no nest is given or no step
-        is context-sensitive."""
-        if nest is None or not any(s.dep_context_sensitive
-                                   for s in self.steps):
-            return [None] * len(self.steps)
-        loops: Optional[Tuple[Loop, ...]] = nest.loops
-        taken = collect_taken(nest)
-        ctxs: List = []
-        for step in self.steps:
-            ctx = None
-            if loops is not None and step.dep_context_sensitive:
-                ctx = step.dep_context(loops)
-            ctxs.append(ctx)
-            if loops is not None:
-                try:
-                    step.check_preconditions(loops)
-                    loops, _ = step.map_loops(loops, taken)
-                except (PreconditionViolation, CodegenError):
-                    # The bounds half of legality will reject this
-                    # sequence; later steps fall back to the
-                    # context-free mapping.
-                    loops = None
-        return ctxs
+        (used to regenerate the paper's Figure 7 table) — with a *nest*,
+        the very sets the legality test reads."""
+        return [deps, *_walk_deps(self.steps, nest, deps,
+                                  _OneShot(len(self.steps)))]
 
     # -- the unified legality test (Section 2, item 3) -----------------------------
 
     def legality(self, nest: LoopNest, deps: DepSet) -> LegalityReport:
         """Run both halves of the legality test; never mutates *nest*."""
-        if nest.depth != self._n:
-            return LegalityReport(
-                False, f"nest has {nest.depth} loops, transformation "
-                       f"expects {self._n}")
-        # (a) dependence vector test: only the final set matters.
-        with _obs.span("legality.map_deps", steps=len(self.steps)):
-            final = self.map_dep_set(deps, nest=nest)
-        if final.can_be_lex_negative():
-            bad = [str(v) for v in final if v.can_be_lex_negative()]
-            return LegalityReport(
-                False,
-                "transformed dependence set admits a lexicographically "
-                f"negative tuple: {', '.join(bad)}",
-                final_deps=final)
-        # (b) loop bounds test: every step's preconditions must hold on
-        # the loops it receives.
-        with _obs.span("legality.bounds", steps=len(self.steps)):
-            loops: Tuple[Loop, ...] = nest.loops
-            taken = collect_taken(nest)
-            for idx, step in enumerate(self.steps):
-                try:
-                    step.check_preconditions(loops)
-                    loops, _ = step.map_loops(loops, taken)
-                except PreconditionViolation as exc:
-                    return LegalityReport(
-                        False, str(exc), failed_step=idx, final_deps=final,
-                        violation=exc)
-                except CodegenError as exc:
-                    # A mapping the preconditions admit but codegen cannot
-                    # realize (e.g. Fourier-Motzkin blowup) is still a
-                    # rejection, not a crash.
-                    return LegalityReport(
-                        False, f"{step.signature()}: {exc}", failed_step=idx,
-                        final_deps=final)
-        fold = self._fold
-        if fold is None or fold[0] is not nest:
-            # Keep headers already remembered for this nest: a cache may
-            # have seeded ones it shares across transformations.
-            self._remember_fold(nest, loops)
-        return LegalityReport(True, final_deps=final)
+        report = mismatch_report(nest, self._n)
+        if report is None:
+            report, loops = fold_legality(self.steps, nest, deps,
+                                          _OneShot(len(self.steps)))
+            if report.legal:
+                self._remember_fold(nest, loops, deps)
+        return report
 
     def is_legal(self, nest: LoopNest, deps: DepSet) -> bool:
         """Boolean form of :meth:`legality`."""
@@ -303,26 +247,33 @@ class Transformation:
 
         With ``check=True`` (default) a *deps* set must be supplied and
         the unified legality test runs first, raising
-        :class:`IllegalTransformationError` on failure.  ``check=False``
-        skips the dependence half (callers doing their own analysis).
+        :class:`IllegalTransformationError` on failure — unless this
+        transformation already holds a legal verdict for this very
+        *nest* and *deps* object (from :meth:`legality` or a
+        :class:`~repro.core.legality_cache.LegalityCache`), which it
+        then reuses.  ``check=False`` skips the dependence half
+        (callers doing their own analysis).
         """
         if check:
             if deps is None:
                 raise ValueError("apply(check=True) requires a dependence set")
-            report = self.legality(nest, deps)
-            if not report.legal:
-                raise IllegalTransformationError(
-                    f"{self.signature()} is illegal for this nest: "
-                    f"{report.reason}")
-        loops = nest.loops
-        taken = collect_taken(nest)
-        per_step_inits = []
-        for step in self.steps:
-            if not check:
-                step.check_preconditions(loops)
-            loops, inits = step.map_loops(loops, taken)
-            per_step_inits.append(inits)
-        return assemble_nest(nest, loops, per_step_inits)
+            fold = self._fold
+            if fold is None or fold[0] is not nest or fold[2] is not deps:
+                report = self.legality(nest, deps)
+                if not report.legal:
+                    raise IllegalTransformationError(
+                        f"{self.signature()} is illegal for this nest: "
+                        f"{report.reason}")
+        with _obs.span("codegen.apply", steps=len(self.steps)):
+            loops = nest.loops
+            taken = collect_taken(nest)
+            per_step_inits = []
+            for step in self.steps:
+                if not check:
+                    step.check_preconditions(loops)
+                loops, inits = step.map_loops(loops, taken)
+                per_step_inits.append(inits)
+            return assemble_nest(nest, loops, per_step_inits)
 
     def final_loops(self, nest: LoopNest) -> Tuple[Loop, ...]:
         """The loop headers after every step — ``loop_trace(nest)[-1]`` —
@@ -338,10 +289,17 @@ class Transformation:
         self._remember_fold(nest, loops)
         return loops
 
-    def _remember_fold(self, nest: LoopNest, loops: Tuple[Loop, ...]) -> None:
+    def _remember_fold(self, nest: LoopNest, loops: Tuple[Loop, ...],
+                       deps: Optional[DepSet] = None) -> None:
         """Record *loops* as this sequence's final headers on *nest*
-        (callers guarantee they come from a successful fold)."""
-        object.__setattr__(self, "_fold", (nest, loops))
+        (callers guarantee they come from a successful fold), and *deps*
+        when the sequence is legal for ``(nest, deps)``.  Headers already
+        remembered for this nest are kept: a cache may have seeded ones
+        it shares across transformations."""
+        fold = self._fold
+        if fold is not None and fold[0] is nest:
+            loops = fold[1]
+        object.__setattr__(self, "_fold", (nest, loops, deps))
 
     def loop_trace(self, nest: LoopNest) -> List[Tuple[Loop, ...]]:
         """Loop headers after each stage (used for Figure 7)."""
@@ -353,6 +311,128 @@ class Transformation:
             loops, _ = step.map_loops(loops, taken)
             trace.append(loops)
         return trace
+
+
+# -- the legality fold ---------------------------------------------------------------
+#
+# A memo serves ``map_step(idx, step, current, ctx)`` (the set ``step``
+# maps ``current``, the set after ``idx`` steps, to) and the bounds state
+# after the first ``k`` steps through ``prefix(k)`` (None when unknown) and
+# ``store(k, state)``.  A state is ``("ok", loops, frozenset of taken
+# names)`` or ``("pre"|"cg", failing step index, exception)``.
+
+
+class _OneShot:
+    """The per-call memo: plain prefix states, mappings computed
+    directly, so each prefix is folded at most once per call."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, steps: int):
+        self.states: List[Optional[Tuple]] = [None] * (steps + 1)
+
+    def map_step(self, idx: int, step: Template, current: DepSet,
+                 ctx) -> DepSet:
+        return step.map_dep_set(current, ctx)
+
+    def prefix(self, k: int) -> Optional[Tuple]:
+        return self.states[k]
+
+    def store(self, k: int, state: Tuple) -> None:
+        self.states[k] = state
+
+
+def mismatch_report(nest: LoopNest, n: int) -> Optional[LegalityReport]:
+    """The verdict on a nest of the wrong depth for an *n*-deep
+    transformation, or None when the depths agree."""
+    if nest.depth == n:
+        return None
+    return LegalityReport(
+        False, f"nest has {nest.depth} loops, transformation expects {n}")
+
+
+def fold_bounds(steps: Sequence[Template], nest: LoopNest, memo,
+                k: int) -> Tuple:
+    """The bounds state after the first *k* steps, folded on from the
+    longest prefix *memo* already holds; a failed prefix is final for
+    every extension."""
+    start, loops, taken = 0, nest.loops, None
+    for j in range(k, 0, -1):
+        state = memo.prefix(j)
+        if state is not None:
+            if state[0] != "ok":
+                return state
+            start, loops, taken = j, state[1], state[2]
+            break
+    names = set(collect_taken(nest) if taken is None else taken)
+    state = ("ok", loops, taken)
+    for idx in range(start, k):
+        step = steps[idx]
+        try:
+            step.check_preconditions(loops)
+            loops, _ = step.map_loops(loops, names)
+        except PreconditionViolation as exc:
+            state = ("pre", idx, exc)
+        except CodegenError as exc:
+            # A mapping the preconditions admit but codegen cannot
+            # realize (e.g. Fourier-Motzkin blowup) is still a
+            # rejection, not a crash.
+            state = ("cg", idx, exc)
+        else:
+            state = ("ok", loops, frozenset(names))
+        memo.store(idx + 1, state)
+        if state[0] != "ok":
+            break
+    return state
+
+
+def _walk_deps(steps: Sequence[Template], nest: Optional[LoopNest],
+               deps: DepSet, memo) -> Iterator[DepSet]:
+    """The dependence half: yield the set after each step.  Mappings
+    are context-free without a nest and after a failed bounds prefix."""
+    loops: Optional[Tuple[Loop, ...]] = None
+    if nest is not None and any(s.dep_context_sensitive for s in steps):
+        loops = nest.loops
+    current = deps
+    for idx, step in enumerate(steps):
+        if loops is not None and idx:
+            state = fold_bounds(steps, nest, memo, idx)
+            loops = state[1] if state[0] == "ok" else None
+        ctx = (step.dep_context(loops)
+               if loops is not None and step.dep_context_sensitive else None)
+        current = memo.map_step(idx, step, current, ctx)
+        yield current
+
+
+def fold_legality(steps: Sequence[Template], nest: LoopNest, deps: DepSet,
+                  memo, exact: bool = True
+                  ) -> Tuple[LegalityReport, Optional[Tuple[Loop, ...]]]:
+    """The legality test of *steps* on a nest of matching depth: the
+    report, and the final headers when legal.  ``exact=False`` stops
+    after the dependence half (the speculative *dep-legal* verdict)."""
+    with _obs.span("legality.map_deps", steps=len(steps)):
+        final = deps
+        for final in _walk_deps(steps, nest, deps, memo):
+            pass
+    if final.can_be_lex_negative():
+        bad = [str(v) for v in final if v.can_be_lex_negative()]
+        return LegalityReport(
+            False,
+            "transformed dependence set admits a lexicographically "
+            f"negative tuple: {', '.join(bad)}",
+            final_deps=final), None
+    if not exact:
+        return LegalityReport(True, final_deps=final), None
+    with _obs.span("legality.bounds", steps=len(steps)):
+        state = fold_bounds(steps, nest, memo, len(steps))
+    if state[0] == "ok":
+        return LegalityReport(True, final_deps=final), state[1]
+    kind, idx, exc = state
+    if kind == "pre":
+        return LegalityReport(False, str(exc), failed_step=idx,
+                              final_deps=final, violation=exc), None
+    return LegalityReport(False, f"{steps[idx].signature()}: {exc}",
+                          failed_step=idx, final_deps=final), None
 
 
 def _is_identity(step: Template) -> bool:

@@ -33,6 +33,7 @@ from typing import List, Tuple
 
 from repro.expr.nodes import Expr, call
 from repro.expr.parser import Token, TokenStream, parse_expression, tokenize
+from repro.obs import trace as _obs
 from repro.resilience import chaos as _chaos
 from repro.resilience import guards as _guards
 from repro.ir.loopnest import (
@@ -163,6 +164,11 @@ def _parse_loop(stream: TokenStream):
 
 def parse_nest(text: str) -> LoopNest:
     """Parse a perfect loop nest from *text* and validate it."""
+    with _obs.span("ir.parse", chars=len(text)):
+        return _parse_nest(text)
+
+
+def _parse_nest(text: str) -> LoopNest:
     _chaos.inject("ir.parse")
     _guards.check_source_size(text, "loop nest source")
     stream = TokenStream(tokenize(text))

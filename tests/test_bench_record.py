@@ -20,7 +20,10 @@ def bench_record(monkeypatch, tmp_path):
     spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7,
+        "end_to_end": [{"name": "ops_per_s"}, {"name": "latency_p50_ms"},
+                       {"name": "ok_share"}]}))
     monkeypatch.setattr(module, "ROOT", str(tmp_path))
     monkeypatch.setattr(module, "commit_of",
                         lambda checkout: f"head of {checkout}")
@@ -42,7 +45,8 @@ def test_alternating_records_appended(bench_record, monkeypatch, tmp_path):
         calls.append((checkout, seed, trace))
         fast = checkout == bench_record.ROOT
         return {"ops_per_s": seed * (2.0 if fast else 1.0),
-                "latency_tail_ms": 10.0, "peak_rss_mb": 50.0,
+                "latency_p50_ms": 10.0, "ok_share": 1.0,
+                "peak_rss_mb": 50.0,
                 "runtime.compiled.busy_s": 1.5 if trace else 0.0,
                 "deps.analysis.busy_s": 0.0}
 
@@ -67,9 +71,11 @@ def test_alternating_records_appended(bench_record, monkeypatch, tmp_path):
     assert base["summary"]["ops_per_s"]["median"] == 2.0
     assert change["summary"]["ops_per_s"] == {"median": 4.0, "q1": 3.0,
                                               "q3": 5.0}
+    # Every end-to-end metric BENCHMARK.json declares, and no other.
+    assert set(change["summary"]) == {"ops_per_s", "latency_p50_ms",
+                                      "ok_share"}
     assert change["runs"][0] == {"seed": 1, "ops_per_s": 2.0,
-                                 "latency_tail_ms": 10.0,
-                                 "peak_rss_mb": 50.0}
+                                 "latency_p50_ms": 10.0, "ok_share": 1.0}
     assert change["traced"] == {"seed": 1, "runtime.compiled.busy_s": 1.5}
 
 

@@ -187,6 +187,25 @@ class TestCommands:
         assert "-- START: D = {(0, 0, +)}" in out
         assert "-- Coalesce" in out
 
+    def test_transform_trace_prints_the_sets_legality_used(self,
+                                                           stencil_file,
+                                                           capsys):
+        """A Block after a skew widens the sets it maps by the loops it
+        receives; the trace's last ``D`` is the set the verdict read."""
+        from repro.deps.analysis import analyze
+        from repro.ir import parse_nest
+
+        steps = "skew(1,2,1); block(1,2,4)"
+        code = main(["transform", stencil_file, "--steps", steps,
+                     "--trace"])
+        assert code == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("-- ")]
+        nest = parse_nest(STENCIL)
+        deps = analyze(nest)
+        final = parse_steps(steps, nest.depth).legality(nest, deps).final_deps
+        assert rows[-1] == f"-- Block: D = {final}"
+
     def test_spec_error_reported(self, stencil_file, capsys):
         code = main(["transform", stencil_file, "--steps", "bogus(1)"])
         assert code == 2

@@ -177,7 +177,7 @@ class TestInstrumentedPipeline:
         tracer = obs.enable()
         result = self._pipeline()
         names = {s.name for s in tracer.spans()}
-        assert {"search", "search.level", "search.candidate",
+        assert {"ir.parse", "search", "search.level", "search.candidate",
                 "deps.analyze", "legality.map_deps",
                 "legality.bounds"} <= names
         snap = obs.get_metrics().snapshot()
@@ -251,8 +251,8 @@ class TestProfileCli:
         assert {"phases", "metrics", "spans", "search", "run",
                 "cachesim", "input"} <= set(doc)
         phase_names = {p["phase"] for p in doc["phases"]}
-        assert {"search", "deps.analyze", "legality.map_deps",
-                "compiled.run"} <= phase_names
+        assert {"ir.parse", "search", "deps.analyze", "legality.map_deps",
+                "codegen.apply", "compiled.run"} <= phase_names
         assert doc["run"]["legal"] is True
         assert doc["cachesim"]["accesses"] > 0
         # --trace-json: parseable JSON lines, with the same phases.
