@@ -111,7 +111,7 @@ from repro.core.spec import (  # noqa: F401  (re-exported)
     parse_steps,
     split_calls as _split_calls,
 )
-from repro.deps.analysis import analyze
+from repro.deps.analysis import LEVELS, analyze
 from repro.ir import parse_nest
 from repro.ir.emit import emit_c, emit_python
 from repro.util.errors import ReproError
@@ -179,7 +179,9 @@ def cmd_transform(args) -> int:
     deps = analyze(nest, level=args.level)
     if args.trace:
         dep_trace = T.dep_set_trace(deps, nest)
-        loop_trace = T.loop_trace(nest)
+        # Only the stages that fold print; the legality test below
+        # names the step that does not.
+        loop_trace, _error = T.folded_loop_trace(nest)
         names = ["START"] + [s.kernel_name for s in T.steps]
         for name, d, loops in zip(names, dep_trace, loop_trace):
             print(f"-- {name}: D = {d}")
@@ -418,41 +420,20 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _free_port(host: str) -> int:
-    """Reserve an ephemeral port number a supervised child can rebind
-    across restarts (port 0 would move on every restart)."""
-    import socket
-    with socket.socket() as s:
-        s.bind((host, 0))
-        return s.getsockname()[1]
-
-
-def _serve_child_argv(args, port: int, heartbeat: str,
-                      checkpoint: str) -> list:
-    """The argv of one supervised server incarnation: the user's serve
-    options minus ``--supervise`` plus the heartbeat/checkpoint plumbing
-    every restart must share."""
-    argv = [sys.executable, "-m", "repro", "serve", "--tcp",
-            "--host", args.host, "--port", str(port),
-            "--heartbeat-file", heartbeat,
-            "--checkpoint", checkpoint,
-            "--checkpoint-every", str(args.checkpoint_every),
-            "--queue-max", str(args.queue_max),
-            "--batch-max", str(args.batch_max),
-            "--cache-max-entries", str(args.cache_max_entries),
-            "--engine", args.engine,
-            "--hang-timeout", str(args.hang_timeout)]
-    if args.request_timeout is not None:
-        argv += ["--request-timeout", str(args.request_timeout)]
-    if args.jobs and args.jobs > 1:
-        argv += ["--jobs", str(args.jobs)]
+def _child_serve_options(args) -> list:
+    """The serve options a ``--supervise`` child or a fleet worker
+    inherits from this command line."""
+    options = ["--queue-max", str(args.queue_max),
+               "--batch-max", str(args.batch_max),
+               "--cache-max-entries", str(args.cache_max_entries),
+               "--engine", args.engine]
     if args.prune:
-        argv += ["--prune"]
+        options += ["--prune"]
     if args.speculate:
-        argv += ["--speculate"]
+        options += ["--speculate"]
     if args.model:
-        argv += ["--model", args.model]
-    return argv
+        options += ["--model", args.model]
+    return options
 
 
 def cmd_serve(args) -> int:
@@ -473,6 +454,7 @@ def cmd_serve(args) -> int:
     to the survivors; see :mod:`repro.fleet`.
     """
     from repro.resilience import chaos
+    from repro.service.child import free_port, serve_child_argv
 
     if args.fleet:
         if not args.tcp:
@@ -486,20 +468,9 @@ def cmd_serve(args) -> int:
         from repro.fleet import FleetError, FleetFrontEnd, FleetRouter
         from repro.service import serve_tcp
 
-        port = args.port or _free_port(args.host)
+        port = args.port or free_port(args.host)
         directory = args.fleet_dir or f".repro-fleet-{port}"
-        worker_args = ["--queue-max", str(args.queue_max),
-                       "--batch-max", str(args.batch_max),
-                       "--cache-max-entries",
-                       str(args.cache_max_entries),
-                       "--engine", args.engine]
-        # Fleet workers inherit the front end's model-guided defaults.
-        if args.prune:
-            worker_args += ["--prune"]
-        if args.speculate:
-            worker_args += ["--speculate"]
-        if args.model:
-            worker_args += ["--model", args.model]
+        worker_args = _child_serve_options(args)
         if args.chaos:
             worker_args += ["--chaos", args.chaos,
                             "--chaos-seed", str(args.chaos_seed)]
@@ -536,7 +507,7 @@ def cmd_serve(args) -> int:
             return 2
         from repro.resilience.supervisor import Supervisor
 
-        port = args.port or _free_port(args.host)
+        port = args.port or free_port(args.host)
         heartbeat = args.heartbeat_file or f".repro-serve-{port}.hb"
         checkpoint = args.checkpoint or heartbeat + ".ckpt"
         if args.chaos:
@@ -547,7 +518,12 @@ def cmd_serve(args) -> int:
             os.environ[chaos.ENV_STATE] = (args.chaos_state
                                            or heartbeat + ".chaos")
         supervisor = Supervisor(
-            _serve_child_argv(args, port, heartbeat, checkpoint),
+            serve_child_argv(args.host, port, heartbeat, checkpoint,
+                             hang_timeout=args.hang_timeout,
+                             checkpoint_every=args.checkpoint_every,
+                             request_timeout=args.request_timeout,
+                             jobs=args.jobs,
+                             options=_child_serve_options(args)),
             heartbeat_file=heartbeat,
             hang_timeout=args.hang_timeout,
             max_restarts=args.max_restarts,
@@ -823,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("file", help="loop nest file ('-' for stdin)")
-        p.add_argument("--level", choices=["gcd", "banerjee", "fm"],
+        p.add_argument("--level", choices=LEVELS,
                        default="fm", help="dependence test ladder depth")
         p.add_argument("--sink", action="store_true",
                        help="accept an imperfect nest and sink it into a "

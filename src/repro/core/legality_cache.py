@@ -112,9 +112,11 @@ class LegalityCache:
         self.max_entries = max_entries
         self.evictions = 0
         self.flushes = 0
-        # When a list, the memoized test appends a content-keyed record
-        # of every entry it creates (see legality_with_delta).
+        # When a list, the memoized test appends every value its fold
+        # reads or computes (see legality_with_delta); while a delta
+        # replays, the logged values by fold position (see merge_delta).
         self._delta_log: Optional[List[Tuple]] = None
+        self._replay: Optional[Dict[Tuple[str, int], object]] = None
         # content-key -> small int, so hot paths hash ints not trees
         self._step_ids: Dict[Tuple, int] = {}
         self._deps_ids: Dict[Tuple, int] = {}
@@ -240,6 +242,10 @@ class LegalityCache:
                  deps: DepSet) -> LegalityReport:
         """Drop-in for ``transformation.legality(nest, deps)``."""
         _chaos.inject("legality")
+        return self._legality(transformation, nest, deps)
+
+    def _legality(self, transformation: Transformation, nest: LoopNest,
+                  deps: DepSet) -> LegalityReport:
         self._maybe_flush()
         okey = (id(transformation), id(nest), id(deps))
         pinned = self._verdict_by_obj.get(okey)
@@ -342,22 +348,23 @@ class LegalityCache:
     # -- parallel-search delta protocol ------------------------------------
     #
     # A forked worker evaluates candidates on its *copy* of this cache and
-    # ships back, per candidate, the content-keyed entries the evaluation
-    # created.  The parent replays deltas with merge_delta in serial
-    # candidate order; because every key is a content key, entries another
-    # candidate already contributed (in this process or another worker's
-    # delta) deduplicate exactly where the serial evaluation would have
-    # taken a cache hit, so hits/misses/eval counters — and therefore
-    # ``SearchResult.cache_stats`` — come out identical to a serial run.
+    # ships back, per candidate, a delta: every value the candidate's fold
+    # read from or added to the worker's tables, by fold position.  The
+    # parent replays deltas with merge_delta in serial candidate order:
+    # the replay runs the very test the serial search runs, on the
+    # parent's tables, taking the logged values where the serial run
+    # would compute.  Hits, misses, evaluations, LRU touches, evictions
+    # and flushes — and therefore ``SearchResult.cache_stats`` — come out
+    # identical to a serial run, bounded cache or not.
 
     def legality_with_delta(
             self, transformation: Transformation, nest: LoopNest,
             deps: DepSet) -> Tuple[LegalityReport, List[Tuple]]:
-        """Like :meth:`legality`, additionally returning the delta: the
-        content-keyed record of every cache entry this call created, plus
-        a trailing ``("verdict", ...)`` entry (always present, even when
-        the verdict itself was a local hit, so the replaying cache can
-        attribute one hit or miss per candidate)."""
+        """Like :meth:`legality`, additionally returning the delta: a
+        ``("map", position, mapped set)`` or ``("bounds", prefix length,
+        state)`` entry for every value the fold read or computed, and a
+        trailing ``("verdict", transformation)`` entry naming the test
+        :meth:`merge_delta` replays."""
         return self._with_delta(self.legality, "verdict", transformation,
                                 nest, deps)
 
@@ -366,18 +373,14 @@ class LegalityCache:
             deps: DepSet) -> Tuple[LegalityReport, List[Tuple]]:
         """Like :meth:`dep_legality`, with the same delta contract as
         :meth:`legality_with_delta`; the trailing entry is
-        ``("dep_verdict", ...)`` so replay attributes it to the
-        dep-verdict table and counters."""
+        ``("dep_verdict", transformation)``, so replay runs the
+        dependence half only."""
         return self._with_delta(self.dep_legality, "dep_verdict",
                                 transformation, nest, deps)
 
     def _with_delta(self, test, kind: str, transformation: Transformation,
                     nest: LoopNest, deps: DepSet
                     ) -> Tuple[LegalityReport, List[Tuple]]:
-        if nest.depth != transformation.input_depth:
-            # A depth mismatch touches no counter and no shared table:
-            # nothing to replay.
-            return test(transformation, nest, deps), []
         log: List[Tuple] = []
         previous = self._delta_log
         self._delta_log = log
@@ -385,64 +388,41 @@ class LegalityCache:
             report = test(transformation, nest, deps)
         finally:
             self._delta_log = previous
-        log.append(
-            (kind, tuple(template_key(s) for s in transformation.steps),
-             report))
+        log.append((kind, transformation))
         return report, log
 
     def merge_delta(self, nest: LoopNest, deps: DepSet,
-                    delta: Sequence[Tuple]) -> Optional[LegalityReport]:
-        """Replay a worker delta into this cache.
+                    delta: Sequence[Tuple],
+                    transformation: Optional[Transformation] = None
+                    ) -> LegalityReport:
+        """Replay a worker delta into this cache and return the verdict.
 
-        Returns the canonical :class:`LegalityReport` for the delta's
-        verdict entry — the already-cached report when one exists (the
-        serial evaluation would have hit it), else the worker's.  Stats
-        attribution matches serial evaluation: an existing verdict is a
-        hit, a new one a miss, and only *new* map/bounds entries count as
-        evaluations.
+        Runs the delta's test (exact or dependence-only) on
+        *transformation* — the caller's own object for the candidate the
+        worker evaluated, so the identity tables see what a serial run
+        sees — or, when None, on the transformation the delta carries.
+        The fold goes through this cache's tables exactly as the serial
+        call would; where it misses, the worker's logged value stands in
+        for recomputation (a value the log lacks is computed here).
         """
-        nest_id = self._intern_nest(nest)
-        deps_id = self._intern_deps(deps)
-        report: Optional[LegalityReport] = None
-        step_ids = self._step_ids
+        values: Dict[Tuple[str, int], object] = {}
+        kind = logged = None
         for entry in delta:
-            kind = entry[0]
-            if kind == "map":
-                _, src_key, step_key, ctx, mapped = entry
-                src_id = self._deps_ids.setdefault(src_key,
-                                                   len(self._deps_ids))
-                sid = step_ids.setdefault(step_key, len(step_ids))
-                mkey = (src_id, sid) if ctx is None else (src_id, sid, ctx)
-                if mkey not in self._map_cache:
-                    self.dep_map_evals += 1
-                    mapped_id = self._deps_ids.setdefault(
-                        depset_key(mapped), len(self._deps_ids))
-                    self._map_cache[mkey] = (mapped, mapped_id)
-                    self._bound(self._map_cache)
-            elif kind == "bounds":
-                _, prefix_keys, state = entry
-                sids = tuple(step_ids.setdefault(k, len(step_ids))
-                             for k in prefix_keys)
-                bkey = (nest_id, sids)
-                if bkey not in self._bounds_cache:
-                    self.bounds_step_evals += 1
-                    self._bounds_cache[bkey] = state
-                    self._bound(self._bounds_cache)
-            elif kind in ("verdict", "dep_verdict"):
-                _, step_keys, worker_report = entry
-                sids = tuple(step_ids.setdefault(k, len(step_ids))
-                             for k in step_keys)
-                vkey = (nest_id, deps_id, sids)
-                exact = kind == "verdict"
-                table = self._verdicts if exact else self._dep_verdicts
-                report = table.get(vkey)
-                self._count(exact, report is not None)
-                if report is None:
-                    report = table[vkey] = worker_report
-                    self._bound(table)
+            if entry[0] in ("map", "bounds"):
+                values[(entry[0], entry[1])] = entry[2]
+            elif entry[0] in ("verdict", "dep_verdict"):
+                kind, logged = entry
             else:
-                raise ValueError(f"unknown delta entry kind: {kind!r}")
-        return report
+                raise ValueError(f"unknown delta entry kind: {entry[0]!r}")
+        if kind is None:
+            raise ValueError("delta has no verdict entry")
+        test = self._legality if kind == "verdict" else self.dep_legality
+        self._replay = values
+        try:
+            return test(transformation if transformation is not None
+                        else logged, nest, deps)
+        finally:
+            self._replay = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -454,6 +434,7 @@ class LegalityCache:
         per-call scratch — all are rebuilt lazily from traffic."""
         state = self.__dict__.copy()
         state["_delta_log"] = None
+        state["_replay"] = None
         state["_step_by_obj"] = {}
         state["_nest_by_obj"] = {}
         state["_deps_by_obj"] = {}
@@ -494,7 +475,9 @@ class LegalityCache:
 
 class _TableMemo:
     """A cache's tables as the legality fold's memo for one sequence on
-    one nest; new entries count as evaluations and are delta-logged."""
+    one nest; new entries count as evaluations, every value read or
+    added is delta-logged, and a replaying delta supplies the values a
+    miss would compute."""
 
     __slots__ = ("cache", "steps", "step_ids", "nest_id", "deps_id")
 
@@ -518,23 +501,27 @@ class _TableMemo:
             cache._touch(cache._map_cache, mkey)
         else:
             cache.dep_map_evals += 1
-            mapped = step.map_dep_set(current, ctx)
+            mapped = (cache._replay.get(("map", idx))
+                      if cache._replay is not None else None)
+            if mapped is None:
+                mapped = step.map_dep_set(current, ctx)
             hit = (mapped, cache._deps_ids.setdefault(
                 depset_key(mapped), len(cache._deps_ids)))
             cache._map_cache[mkey] = hit
             cache._bound(cache._map_cache)
-            if cache._delta_log is not None:
-                cache._delta_log.append(
-                    ("map", depset_key(current), template_key(step), ctx,
-                     mapped))
+        if cache._delta_log is not None:
+            cache._delta_log.append(("map", idx, hit[0]))
         self.deps_id = hit[1]
         return hit[0]
 
     def prefix(self, k: int) -> Optional[Tuple]:
+        cache = self.cache
         key = (self.nest_id, self.step_ids[:k])
-        state = self.cache._bounds_cache.get(key)
+        state = cache._bounds_cache.get(key)
         if state is not None:
-            self.cache._touch(self.cache._bounds_cache, key)
+            cache._touch(cache._bounds_cache, key)
+            if cache._delta_log is not None:
+                cache._delta_log.append(("bounds", k, state))
         return state
 
     def store(self, k: int, state: Tuple) -> None:
@@ -543,6 +530,8 @@ class _TableMemo:
         cache._bounds_cache[(self.nest_id, self.step_ids[:k])] = state
         cache._bound(cache._bounds_cache)
         if cache._delta_log is not None:
-            cache._delta_log.append(
-                ("bounds", tuple(template_key(s) for s in self.steps[:k]),
-                 state))
+            cache._delta_log.append(("bounds", k, state))
+
+    def replayed(self, k: int) -> Optional[Tuple]:
+        replay = self.cache._replay
+        return replay.get(("bounds", k)) if replay is not None else None

@@ -50,6 +50,7 @@ from repro.util.errors import (
     CodegenError,
     IllegalTransformationError,
     PreconditionViolation,
+    ReproError,
 )
 
 
@@ -302,15 +303,24 @@ class Transformation:
         object.__setattr__(self, "_fold", (nest, loops, deps))
 
     def loop_trace(self, nest: LoopNest) -> List[Tuple[Loop, ...]]:
-        """Loop headers after each stage (used for Figure 7)."""
-        loops = nest.loops
-        taken = collect_taken(nest)
-        trace = [loops]
-        for step in self.steps:
-            step.check_preconditions(loops)
-            loops, _ = step.map_loops(loops, taken)
-            trace.append(loops)
+        """Loop headers after each stage (used for Figure 7); a step
+        whose bounds mapping fails raises its error."""
+        trace, error = self.folded_loop_trace(nest)
+        if error is not None:
+            raise error
         return trace
+
+    def folded_loop_trace(self, nest: LoopNest
+                          ) -> Tuple[List[Tuple[Loop, ...]],
+                                     Optional[ReproError]]:
+        """The loop headers after each stage that folds, and the error
+        of the first step whose bounds mapping fails (None when every
+        stage folds)."""
+        memo = _OneShot(len(self.steps))
+        state = fold_bounds(self.steps, nest, memo, len(self.steps))
+        trace = [nest.loops] + [s[1] for s in memo.states[1:]
+                                if s is not None and s[0] == "ok"]
+        return trace, (None if state[0] == "ok" else state[2])
 
 
 # -- the legality fold ---------------------------------------------------------------
@@ -318,8 +328,10 @@ class Transformation:
 # A memo serves ``map_step(idx, step, current, ctx)`` (the set ``step``
 # maps ``current``, the set after ``idx`` steps, to) and the bounds state
 # after the first ``k`` steps through ``prefix(k)`` (None when unknown) and
-# ``store(k, state)``.  A state is ``("ok", loops, frozenset of taken
-# names)`` or ``("pre"|"cg", failing step index, exception)``.
+# ``store(k, state)``; ``replayed(k)`` may hand over an already-computed
+# state for a prefix the fold would otherwise compute.  A state is
+# ``("ok", loops, frozenset of taken names)`` or ``("pre"|"cg", failing
+# step index, exception)``.
 
 
 class _OneShot:
@@ -340,6 +352,9 @@ class _OneShot:
 
     def store(self, k: int, state: Tuple) -> None:
         self.states[k] = state
+
+    def replayed(self, k: int) -> Optional[Tuple]:
+        return None
 
 
 def mismatch_report(nest: LoopNest, n: int) -> Optional[LegalityReport]:
@@ -367,19 +382,24 @@ def fold_bounds(steps: Sequence[Template], nest: LoopNest, memo,
     names = set(collect_taken(nest) if taken is None else taken)
     state = ("ok", loops, taken)
     for idx in range(start, k):
-        step = steps[idx]
-        try:
-            step.check_preconditions(loops)
-            loops, _ = step.map_loops(loops, names)
-        except PreconditionViolation as exc:
-            state = ("pre", idx, exc)
-        except CodegenError as exc:
-            # A mapping the preconditions admit but codegen cannot
-            # realize (e.g. Fourier-Motzkin blowup) is still a
-            # rejection, not a crash.
-            state = ("cg", idx, exc)
+        state = memo.replayed(idx + 1)
+        if state is not None:
+            if state[0] == "ok":
+                loops, names = state[1], set(state[2])
         else:
-            state = ("ok", loops, frozenset(names))
+            step = steps[idx]
+            try:
+                step.check_preconditions(loops)
+                loops, _ = step.map_loops(loops, names)
+            except PreconditionViolation as exc:
+                state = ("pre", idx, exc)
+            except CodegenError as exc:
+                # A mapping the preconditions admit but codegen cannot
+                # realize (e.g. Fourier-Motzkin blowup) is still a
+                # rejection, not a crash.
+                state = ("cg", idx, exc)
+            else:
+                state = ("ok", loops, frozenset(names))
         memo.store(idx + 1, state)
         if state[0] != "ok":
             break

@@ -2,152 +2,74 @@
 
 ``repro serve --fleet N --tcp`` binds a single listener and proxies
 every NDJSON request line to the
-:class:`~repro.fleet.router.FleetRouter`.  :class:`FleetFrontEnd`
-implements the same transport duck-type as
-:class:`~repro.service.server.TransformationService` (``ingest_bytes``
-/ ``install_signal_handlers`` / ``run``), so the existing
-:func:`~repro.service.server.serve_tcp` and
-:func:`~repro.service.server.pump_frames` machinery — byte-capped
-frames, UTF-8 validation, resync-at-newline, per-connection write
-locks — serves the fleet without a parallel implementation.
+:class:`~repro.fleet.router.FleetRouter`.  :class:`FleetFrontEnd` is an
+:class:`~repro.service.admission.AdmissionFront`, the admission front
+:class:`~repro.service.server.TransformationService` uses too: the same
+frame validation, bounded queue with typed ``backpressure`` and
+``shutting-down`` rejections, drain and signal handling, served by the
+same :func:`~repro.service.server.serve_tcp` and
+:func:`~repro.service.server.pump_frames` transports.
 
-Unlike the single service (whose processing loop is one thread by
-design — SIGALRM budgets, fork discipline), the front-end dispatches
-admitted requests from a small thread pool: requests routed to
-*different* workers proceed concurrently, which is exactly the fleet's
-throughput story.  Per-worker ordering is still serial (the router
-holds one lock per worker).
-
-Admission mirrors the service: a bounded queue, immediate typed
-``backpressure`` on overflow, ``shutting-down`` once draining starts
-(SIGTERM/SIGINT or a ``shutdown`` request), and everything admitted is
-answered before :meth:`run` returns and the workers are stopped.
+What the fleet keeps for itself: ``shutdown`` is answered at admission
+(so the drain can refuse everything after it), and admitted requests
+are dispatched from a small thread pool instead of the service's single
+processing loop — requests routed to *different* workers proceed
+concurrently, which is exactly the fleet's throughput story.
+Per-worker ordering is still serial (the router holds one lock per
+worker).  Everything admitted is answered before :meth:`run` returns
+and the workers are stopped.
 """
 
 from __future__ import annotations
 
-import signal
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.fleet.ring import FleetError
 from repro.fleet.router import FleetRouter
 from repro.obs import distributed as _dist
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
-from repro.service import protocol
+from repro.service.admission import (
+    AdmissionFront,
+    request_span,
+    ship_spans,
+)
 from repro.service.protocol import (
-    BACKPRESSURE,
-    BAD_REQUEST,
     INTERNAL,
-    SHUTTING_DOWN,
     UNAVAILABLE,
-    ProtocolError,
     error_response,
     ok_response,
 )
 
 
-class FleetFrontEnd:
+class FleetFrontEnd(AdmissionFront):
     """Admit NDJSON requests and dispatch them through a fleet router."""
+
+    metric_prefix = "fleet"
+    drain_subject = "fleet"
 
     def __init__(self, router: FleetRouter, *, queue_max: int = 64,
                  dispatchers: Optional[int] = None):
-        if queue_max < 1:
-            raise ValueError(f"queue_max must be >= 1, got {queue_max}")
+        super().__init__(queue_max)
         self.router = router
-        self.queue_max = queue_max
         self.dispatchers = dispatchers or max(2, 2 * len(router.workers))
-        self._cond = threading.Condition()
-        self._items: deque = deque()
         self._inflight = 0
-        self._draining = False
-        self.drain_reason: Optional[str] = None
-        self.counters: Dict[str, int] = {
-            "accepted": 0, "answered": 0, "backpressure": 0,
-            "rejected_shutdown": 0,
-        }
+        self.counters["answered"] = 0
 
-    # -- admission (transport threads) -------------------------------------
-
-    def ingest_bytes(self, frame: bytes,
-                     reply: Callable[[dict], None]) -> None:
-        cap = protocol.max_frame_bytes()
-        if len(frame) > cap:
-            reply(error_response(
-                None, BAD_REQUEST,
-                f"frame of {len(frame)} bytes exceeds the {cap}-byte "
-                f"limit (REPRO_MAX_FRAME_BYTES)"))
-            return
-        try:
-            line = frame.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            reply(error_response(None, BAD_REQUEST,
-                                 f"frame is not valid UTF-8: {exc}"))
-            return
-        if line.strip():
-            self.ingest(line, reply)
-
-    def ingest(self, line: str, reply: Callable[[dict], None]) -> None:
-        try:
-            req_id, op, params, idem, trace = protocol.decode_request(line)
-        except ProtocolError as exc:
-            reply(error_response(getattr(exc, "request_id", None),
-                                 exc.code, exc.message))
-            return
-        if op == "shutdown":
-            # Answered at admission so the drain can refuse everything
-            # after it; the router's own shutdown path stops workers.
-            reply(ok_response(req_id, {"stopping": True,
-                                       "reason": "shutdown request",
-                                       "workers":
-                                       len(self.router.workers)}))
-            self.request_drain("shutdown request")
-            return
-        rejection = None
-        with self._cond:
-            if self._draining:
-                self.counters["rejected_shutdown"] += 1
-                rejection = error_response(
-                    req_id, SHUTTING_DOWN,
-                    f"fleet is draining ({self.drain_reason})")
-            elif len(self._items) >= self.queue_max:
-                self.counters["backpressure"] += 1
-                rejection = error_response(
-                    req_id, BACKPRESSURE,
-                    f"request queue full ({self.queue_max}); retry later")
-            else:
-                self.counters["accepted"] += 1
-                self._items.append((req_id, op, params, idem, trace,
-                                    reply))
-                depth = len(self._items)
-                self._cond.notify()
-        if rejection is not None:
-            if _obs.enabled():
-                get_metrics().counter(
-                    "fleet.rejected."
-                    + rejection["error"]["code"]).inc()
-            reply(rejection)
-            return
-        if _obs.enabled():
-            get_metrics().gauge("fleet.queue_depth").set(depth)
-
-    def request_drain(self, reason: str) -> None:
-        with self._cond:
-            if not self._draining:
-                self._draining = True
-                self.drain_reason = reason
-            self._cond.notify_all()
-
-    def install_signal_handlers(self) -> None:
-        if threading.current_thread() is not threading.main_thread():
-            return
-        signal.signal(signal.SIGTERM,
-                      lambda s, f: self.request_drain("SIGTERM"))
-        signal.signal(signal.SIGINT,
-                      lambda s, f: self.request_drain("SIGINT"))
+    def submit(self, req_id, op, params, reply, idem=None,
+               trace=None) -> bool:
+        if op != "shutdown":
+            return super().submit(req_id, op, params, reply, idem=idem,
+                                  trace=trace)
+        # Answered at admission so the drain can refuse everything
+        # after it; the router's own shutdown path stops workers.
+        reply(ok_response(req_id, {"stopping": True,
+                                   "reason": "shutdown request",
+                                   "workers": len(self.router.workers)}))
+        self.request_drain("shutdown request")
+        return False
 
     # -- dispatch ----------------------------------------------------------
 
@@ -158,34 +80,30 @@ class FleetFrontEnd:
                     self._cond.wait(0.1)
                 if not self._items:
                     return  # draining and empty
-                (req_id, op, params, idem, trace_in,
-                 reply) = self._items.popleft()
+                pending = self._items.popleft()
                 self._inflight += 1
+            req_id, op = pending.req_id, pending.op
             start = time.monotonic()
             enabled = _obs.enabled()
-            # The admission span either adopts the client's trace
-            # context or roots a fresh trace — the front end is where a
-            # fleet request's stitched span tree begins.
-            if enabled:
-                cm = (_dist.adopt(trace_in, "fleet.admit", op=op)
-                      if trace_in else
-                      _dist.start_trace("fleet.admit", op=op))
-            else:
-                cm = _obs.span("fleet.admit", op=op)
             root_sp = None
             try:
-                with cm as root_sp:
+                # Without a client trace context the front end roots a
+                # fresh trace: it is where a fleet request's stitched
+                # span tree begins.
+                with request_span("fleet.admit", op, pending.trace,
+                                  root=True) as root_sp:
                     response = self.router.request_raw(
-                        op, params, req_id=req_id, idem=idem)
+                        op, pending.params, req_id=req_id,
+                        idem=pending.idem)
             except FleetError as exc:
                 response = error_response(req_id, UNAVAILABLE, str(exc))
             except Exception as exc:  # noqa: BLE001 — must answer
                 response = error_response(
                     req_id, INTERNAL, f"{type(exc).__name__}: {exc}")
             if enabled:
-                self._observe(op, response, trace_in, root_sp,
+                self._observe(op, response, pending.trace, root_sp,
                               (time.monotonic() - start) * 1000.0)
-            reply(response)
+            pending.reply(response)
             with self._cond:
                 self.counters["answered"] += 1
                 self._inflight -= 1
@@ -207,21 +125,10 @@ class FleetFrontEnd:
         metrics.histogram(f"fleet.latency_ms.{op}").observe(elapsed_ms)
         child_spans = response.pop("spans", None)
         child_dropped = response.pop("spans_dropped", 0)
-        tracer = _obs.get_tracer()
-        if tracer is None or not isinstance(root_sp, _obs.Span):
-            if child_spans or child_dropped:
-                _dist.get_collector().add(child_spans, child_dropped)
+        if trace_in and ship_spans(response, root_sp, trace_in,
+                                   child_spans or (), child_dropped):
             return
-        if trace_in:
-            extra = _dist.get_collector().drain(trace_in["id"])
-            extra.extend(child_spans or ())
-            spans, dropped = _dist.ship(tracer, root_sp, trace_in,
-                                        extra=extra)
-            if spans:
-                response["spans"] = spans
-            if dropped or child_dropped:
-                response["spans_dropped"] = dropped + child_dropped
-        elif child_spans or child_dropped:
+        if child_spans or child_dropped:
             _dist.get_collector().add(child_spans, child_dropped)
 
     def run(self) -> None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import signal
 import socket
-import sys
 import threading
 import time
 from typing import Dict, List, Optional
@@ -34,26 +33,8 @@ from typing import Dict, List, Optional
 from repro.obs import trace as _obs
 from repro.resilience.retry import RetryPolicy, RetryingClient
 from repro.resilience.supervisor import CrashLoopError, Supervisor
+from repro.service.child import child_env, free_port, serve_child_argv
 from repro.service.protocol import ServiceError
-
-
-def _free_port(host: str = "127.0.0.1") -> int:
-    with socket.socket() as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
-
-
-def _child_env() -> Dict[str, str]:
-    """The child's environment, with this package importable: the fleet
-    must work from a source checkout (PYTHONPATH=src) as well as an
-    installed package."""
-    env = dict(os.environ)
-    src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    parts = [src_dir] + [p for p in env.get("PYTHONPATH", "").split(
-        os.pathsep) if p]
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-    return env
 
 
 class WorkerHandle:
@@ -72,20 +53,10 @@ class WorkerHandle:
                  extra_args: Optional[List[str]] = None):
         self.index = index
         self.host = host
-        self.port = _free_port(host)
+        self.port = free_port(host)
         self.heartbeat = os.path.join(directory, f"w{index}.hb")
         self.checkpoint = os.path.join(directory, f"w{index}.ckpt")
         self.report = os.path.join(directory, f"w{index}.report.json")
-        argv = [sys.executable, "-m", "repro", "serve", "--tcp",
-                "--host", host, "--port", str(self.port),
-                "--heartbeat-file", self.heartbeat,
-                "--hang-timeout", str(hang_timeout),
-                "--checkpoint", self.checkpoint,
-                "--checkpoint-every", str(checkpoint_every)]
-        if request_timeout is not None:
-            argv += ["--request-timeout", str(request_timeout)]
-        if jobs > 1:
-            argv += ["--jobs", str(jobs)]
         extra = list(extra_args or ())
         if _obs.enabled() and "--trace-json" not in extra:
             # Tracing in the parent turns the whole fleet on: each child
@@ -101,15 +72,18 @@ class WorkerHandle:
             # budgeted faults.
             extra += ["--chaos-state",
                       os.path.join(directory, f"w{index}.chaos")]
-        argv += extra
         self.supervisor = Supervisor(
-            argv,
+            serve_child_argv(host, self.port, self.heartbeat,
+                             self.checkpoint, hang_timeout=hang_timeout,
+                             checkpoint_every=checkpoint_every,
+                             request_timeout=request_timeout, jobs=jobs,
+                             options=extra),
             heartbeat_file=self.heartbeat,
             hang_timeout=hang_timeout,
             max_restarts=max_restarts,
             restart_window=restart_window,
             report_path=self.report,
-            env=_child_env())
+            env=child_env())
         self.client = RetryingClient.tcp(
             host, self.port,
             policy=retry_policy or RetryPolicy(

@@ -13,7 +13,6 @@ to callers; this is the generative test of that claim.
 from __future__ import annotations
 
 import os
-import socket
 import subprocess
 import sys
 import time
@@ -24,6 +23,7 @@ from repro.fuzz.oracles import CaseOutcome
 from repro.obs import trace as _obs
 from repro.resilience.retry import RetryPolicy, RetryingClient
 from repro.service import protocol
+from repro.service.child import child_env, free_port
 
 #: The default chaos plan: every injection point the spec grammar
 #: names, with the fault kind that bites hardest there.  Counts are
@@ -62,21 +62,9 @@ def request_script(case: FuzzCase) -> List[Dict[str, object]]:
     return script
 
 
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def _pythonpath_env() -> Dict[str, str]:
     """Subprocess env whose PYTHONPATH can import this very package."""
-    import repro
-    pkg_parent = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    parts = [pkg_parent] + [p for p in
-                            env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
+    env = child_env()
     # A chaos plan armed in *this* process must not leak into the
     # subordinate servers; they get exactly the spec we pass via argv.
     env.pop("REPRO_CHAOS", None)
@@ -93,7 +81,7 @@ def supervised_replay(script: Sequence[Dict[str, object]],
     responses in script order.  With *chaos_spec*, the server runs with
     that plan armed (state file under *workdir* so counts survive
     supervised restarts)."""
-    port = _free_port()
+    port = free_port()
     argv = [sys.executable, "-m", "repro", "serve", "--tcp",
             "--port", str(port), "--supervise",
             "--hang-timeout", str(hang_timeout),

@@ -479,8 +479,8 @@ def _search(nest: LoopNest, deps: DepSet,
                                      else coerce_score(value))
                                 sp.tag(legal=True, score=s)
                         else:
-                            report = cache.merge_delta(nest, deps,
-                                                       outcome.delta)
+                            report = cache.merge_delta(
+                                nest, deps, outcome.delta, candidate)
                             if report is None or not report.legal:
                                 continue
                             if outcome.timed_out:

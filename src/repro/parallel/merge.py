@@ -4,22 +4,20 @@ Why parallel equals serial, exactly
 -----------------------------------
 
 The pool forks workers at the start of each level, so every worker's
-cache copy is the parent cache at level start — which already holds the
-map/bounds entries for every frontier base (each base was merged or
-evaluated in the previous level).  A worker therefore evaluates only
-what the serial search would have evaluated for its candidates, and its
-delta records only those new entries, under *content* keys.
+cache copy is the parent cache at level start.  A worker evaluates its
+candidates on that copy and ships back, per candidate, a delta: every
+value the candidate's legality fold read from or added to the worker's
+tables, keyed by fold position.
 
-The parent replays deltas in serial candidate order.  Content keys make
-replay idempotent: an entry that an earlier candidate already
-contributed (in-process or via another worker's delta) is skipped,
-exactly where the serial evaluation would have taken a cache hit.
-Attribution then reproduces the serial counters: a delta's verdict entry
-counts one hit when the verdict already exists, else one miss; each
-*new* map/bounds entry counts one evaluation.  Two workers may evaluate
-a shared within-level prefix redundantly (duplicated wall-clock work),
-but the replay dedups the entries, so ``SearchResult.cache_stats`` —
-and the beam itself — come out identical to ``jobs=1``.
+The parent replays deltas in serial candidate order, and a replay *is*
+the serial evaluation: it runs the same legality test on the parent's
+own candidate object and the parent's tables, so every hit, miss,
+evaluation, LRU touch, eviction and flush happens exactly as in a
+``jobs=1`` run.  Only where that run would compute a dependence map or
+a bounds prefix does the replay take the worker's logged value instead
+(computing it itself when the worker took a cache hit the parent has
+since evicted).  ``SearchResult.cache_stats`` — and the beam itself —
+therefore come out identical to ``jobs=1``, bounded cache or not.
 """
 
 from __future__ import annotations
@@ -44,9 +42,9 @@ class Outcome:
                 f"timed_out={self.timed_out}, delta={len(self.delta)})")
 
 
-def merge_outcome(cache, nest, deps, outcome: Outcome):
-    """Replay *outcome*'s cache delta and return the canonical
-    :class:`~repro.core.sequence.LegalityReport` (the already-cached
-    report when one exists — see ``LegalityCache.merge_delta`` for the
-    stats contract)."""
-    return cache.merge_delta(nest, deps, outcome.delta)
+def merge_outcome(cache, nest, deps, outcome: Outcome,
+                  transformation=None):
+    """Replay *outcome*'s cache delta for *transformation* and return
+    the :class:`~repro.core.sequence.LegalityReport` the serial test
+    gives (see ``LegalityCache.merge_delta`` for the stats contract)."""
+    return cache.merge_delta(nest, deps, outcome.delta, transformation)

@@ -20,13 +20,13 @@ keeps its fork-from-the-owner discipline.
 Admission control
 -----------------
 
-The request queue is bounded (``queue_max``).  A request arriving at a
-full queue is answered *immediately* with a typed ``backpressure``
-error — the server never blocks a transport on its own queue, and the
-client can tell "retry later" apart from a failure.  After drain starts
-(SIGTERM, SIGINT, stdin EOF, or a ``shutdown`` request) new requests
-are refused with ``shutting-down`` while everything already admitted is
-still processed and answered.
+Frame validation, the bounded queue with its typed ``backpressure`` and
+``shutting-down`` rejections, and drain on SIGTERM, SIGINT, stdin EOF
+or a ``shutdown`` request come from
+:class:`~repro.service.admission.AdmissionFront`, which the fleet's
+front end shares.  The service adds the idempotency window: a replayed
+``idem`` key is answered from it (or attached to the in-flight
+original) at admission, never re-executed.
 
 Batching
 --------
@@ -34,25 +34,27 @@ Batching
 The processing loop drains up to ``batch_max`` queued requests per
 cycle.  Legality requests within a batch that target the same
 ``(nest, level)`` are evaluated together through the shared pool
-(one fork per *batch group*, not per request); their content-keyed
-cache deltas merge back into the warm legality cache, so a later
-identical request is a pure cache hit.
+(one fork per *batch group*, not per request); their cache deltas
+replay into the warm legality cache, so a later identical request is a
+pure cache hit.
+
+The transports (:func:`serve_stdio`, :func:`serve_tcp`,
+:func:`pump_frames`) serve any :class:`~repro.service.admission.
+AdmissionFront`.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import socket
 import sys
 import threading
 import time
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.core.spec import parse_steps
-from repro.obs import distributed as _dist
+from repro.deps.analysis import LEVELS
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
 from repro.parallel.merge import merge_outcome
@@ -60,14 +62,18 @@ from repro.parallel.worker import call_with_timeout
 from repro.resilience import chaos as _chaos
 from repro.resilience import guards as _guards
 from repro.service import protocol
+from repro.service.admission import (
+    AdmissionFront,
+    Pending,
+    request_span,
+    ship_spans,
+)
 from repro.service.protocol import (
-    BACKPRESSURE,
     BAD_INPUT,
     BAD_REQUEST,
     ILLEGAL,
     INTERNAL,
     PROTOCOL_VERSION,
-    SHUTTING_DOWN,
     TIMEOUT,
     UNAVAILABLE,
     ProtocolError,
@@ -79,8 +85,6 @@ from repro.runtime import ENGINE_NAMES
 from repro.service.state import WarmState
 from repro.util.errors import ReproError
 
-_LEVELS = ("gcd", "banerjee", "fm")
-
 
 def _zero_score(transformation, nest, deps) -> float:
     """Scoring stub for pooled legality batches: legality is the whole
@@ -88,24 +92,7 @@ def _zero_score(transformation, nest, deps) -> float:
     return 0.0
 
 
-class _Pending:
-    """One admitted request waiting in the queue."""
-
-    __slots__ = ("req_id", "op", "params", "reply", "admitted", "idem",
-                 "trace")
-
-    def __init__(self, req_id, op, params, reply, admitted, idem=None,
-                 trace=None):
-        self.req_id = req_id
-        self.op = op
-        self.params = params
-        self.reply = reply
-        self.admitted = admitted
-        self.idem = idem
-        self.trace = trace
-
-
-class TransformationService:
+class TransformationService(AdmissionFront):
     """Warm-state request processor behind ``repro serve``."""
 
     #: Responses remembered per idempotency key; a replayed key is
@@ -125,8 +112,7 @@ class TransformationService:
                  default_prune: bool = False,
                  default_speculate: bool = False,
                  default_model: Optional[str] = None):
-        if queue_max < 1:
-            raise ValueError(f"queue_max must be >= 1, got {queue_max}")
+        super().__init__(queue_max)
         if default_engine not in ENGINE_NAMES:
             raise ValueError(
                 f"default_engine must be one of {ENGINE_NAMES}, "
@@ -140,7 +126,6 @@ class TransformationService:
         self.default_speculate = bool(default_speculate)
         self.default_model = default_model
         self.jobs = max(1, int(jobs))
-        self.queue_max = queue_max
         self.batch_max = max(1, int(batch_max))
         self.request_timeout = request_timeout
         self.heartbeat_file = heartbeat_file
@@ -155,10 +140,6 @@ class TransformationService:
         if self.jobs > 1:
             from repro.parallel.pool import ShardedPool
             self.pool = ShardedPool(None, None, _zero_score, self.jobs)
-        self._cond = threading.Condition()
-        self._items: deque = deque()
-        self._draining = False
-        self.drain_reason: Optional[str] = None
         self._started = time.monotonic()
         self._last_tick = time.monotonic()
         self._since_checkpoint = 0
@@ -167,13 +148,12 @@ class TransformationService:
         # racing its original neither re-executes nor goes unanswered.
         self._idem_done: Dict[str, dict] = {}
         self._idem_waiters: Dict[str, List[Tuple[object, Callable]]] = {}
-        self.counters: Dict[str, object] = {
-            "accepted": 0, "completed": 0, "errors": 0, "timeouts": 0,
-            "backpressure": 0, "rejected_shutdown": 0,
+        self.counters.update({
+            "completed": 0, "errors": 0, "timeouts": 0,
             "batches": 0, "max_batch": 0, "batched_legality": 0,
             "idem_replays": 0, "dropped_replies": 0,
             "by_op": {},
-        }
+        })
         self._dispatch: Dict[str, Callable] = {
             "ping": self._op_ping,
             "parse": self._op_parse,
@@ -187,116 +167,27 @@ class TransformationService:
             "shutdown": self._op_shutdown,
         }
 
-    # -- admission (transport threads) -------------------------------------
+    # -- admission: idempotent replays are answered, not queued ------------
 
-    def ingest(self, line: str, reply: Callable[[dict], None]) -> None:
-        """Decode one request line and admit it; rejections (malformed,
-        backpressure, draining) are answered immediately on the
-        transport's thread."""
-        try:
-            req_id, op, params, idem, trace = protocol.decode_request(line)
-        except ProtocolError as exc:
-            reply(error_response(getattr(exc, "request_id", None),
-                                 exc.code, exc.message))
-            return
-        self.submit(req_id, op, params, reply, idem=idem, trace=trace)
-
-    def ingest_bytes(self, frame: bytes,
-                     reply: Callable[[dict], None]) -> None:
-        """Validate one raw frame (size cap, strict UTF-8) before
-        decoding; malformed frames get a typed ``bad-request`` and the
-        connection stays alive."""
-        cap = protocol.max_frame_bytes()
-        if len(frame) > cap:
-            reply(error_response(
-                None, BAD_REQUEST,
-                f"frame of {len(frame)} bytes exceeds the {cap}-byte "
-                f"limit (REPRO_MAX_FRAME_BYTES)"))
-            return
-        try:
-            line = frame.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            reply(error_response(None, BAD_REQUEST,
-                                 f"frame is not valid UTF-8: {exc}"))
-            return
-        if line.strip():
-            self.ingest(line, reply)
-
-    def submit(self, req_id, op, params,
-               reply: Callable[[dict], None],
-               idem: Optional[str] = None,
-               trace: Optional[dict] = None) -> bool:
-        """Admission control; returns True when enqueued.  Rejections
-        reply immediately with ``shutting-down`` or ``backpressure``;
-        a replayed idempotency key is answered from the dedup window
-        (or attached to the in-flight original) without re-executing."""
-        rejection = None
-        replayed = None
-        with self._cond:
-            if idem is not None and idem in self._idem_done:
-                replayed = dict(self._idem_done[idem], id=req_id)
-                self.counters["idem_replays"] = (
-                    int(self.counters["idem_replays"]) + 1)
-            elif idem is not None and idem in self._idem_waiters:
-                self._idem_waiters[idem].append((req_id, reply))
-                self.counters["idem_replays"] = (
-                    int(self.counters["idem_replays"]) + 1)
-                return True
-            elif self._draining:
-                self.counters["rejected_shutdown"] = (
-                    int(self.counters["rejected_shutdown"]) + 1)
-                rejection = error_response(
-                    req_id, SHUTTING_DOWN,
-                    f"server is draining ({self.drain_reason})")
-            elif len(self._items) >= self.queue_max:
-                self.counters["backpressure"] = (
-                    int(self.counters["backpressure"]) + 1)
-                rejection = error_response(
-                    req_id, BACKPRESSURE,
-                    f"request queue full ({self.queue_max}); retry later")
-            else:
-                self.counters["accepted"] = (
-                    int(self.counters["accepted"]) + 1)
-                self._items.append(_Pending(req_id, op, params, reply,
-                                            time.monotonic(), idem=idem,
-                                            trace=trace))
-                if idem is not None:
-                    self._idem_waiters[idem] = []
-                depth = len(self._items)
-                self._cond.notify()
-        if replayed is not None:
+    def _admit(self, pending: Pending) -> Optional[dict]:
+        """A replayed idempotency key is answered from the dedup window
+        (or attached to the in-flight original) without re-executing;
+        anything else goes through the shared admission control."""
+        idem = pending.idem
+        if idem is not None and idem in self._idem_done:
+            self.counters["idem_replays"] += 1
             if _obs.enabled():
                 get_metrics().counter("service.idem_replays").inc()
-                _obs.event("service.idem_replay", op=op)
-            reply(replayed)
-            return False
-        if rejection is not None:
-            if _obs.enabled():
-                get_metrics().counter(
-                    "service.rejected." + rejection["error"]["code"]).inc()
-            reply(rejection)
-            return False
-        if _obs.enabled():
-            get_metrics().gauge("service.queue_depth").set(depth)
-        return True
-
-    def request_drain(self, reason: str) -> None:
-        """Stop admitting; finish what is queued, then let :meth:`run`
-        return.  Safe to call from a signal handler (attribute writes
-        only; the processing loop polls)."""
-        if not self._draining:
-            self._draining = True
-            self.drain_reason = reason
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → graceful drain.  Only possible from the main
-        thread; elsewhere (in-process test harnesses) this is a no-op."""
-        if threading.current_thread() is not threading.main_thread():
-            return
-        signal.signal(signal.SIGTERM,
-                      lambda s, f: self.request_drain("SIGTERM"))
-        signal.signal(signal.SIGINT,
-                      lambda s, f: self.request_drain("SIGINT"))
+                _obs.event("service.idem_replay", op=pending.op)
+            return dict(self._idem_done[idem], id=pending.req_id)
+        if idem is not None and idem in self._idem_waiters:
+            self._idem_waiters[idem].append((pending.req_id, pending.reply))
+            self.counters["idem_replays"] += 1
+            return None
+        rejection = super()._admit(pending)
+        if rejection is None and idem is not None:
+            self._idem_waiters[idem] = []
+        return rejection
 
     # -- the processing loop (owning thread) -------------------------------
 
@@ -311,7 +202,7 @@ class TransformationService:
                              daemon=True).start()
         while True:
             self._last_tick = time.monotonic()
-            batch: List[_Pending] = []
+            batch: List[Pending] = []
             with self._cond:
                 if not self._items:
                     if self._draining:
@@ -354,7 +245,7 @@ class TransformationService:
         if self.checkpoint_path:
             self.state.checkpoint(self.checkpoint_path)
 
-    def _finish_idem(self, pending: _Pending, response: dict):
+    def _finish_idem(self, pending: Pending, response: dict):
         """Record *response* under the request's idem key and detach any
         replays that arrived while it was in flight.
 
@@ -404,21 +295,17 @@ class TransformationService:
                     pass
             time.sleep(interval)
 
-    def _handle(self, pending: _Pending, prefetched: Dict[int, object]):
+    def _handle(self, pending: Pending, prefetched: Dict[int, object]):
         op, params = pending.op, pending.params
         start = time.monotonic()
         code: Optional[str] = None
         # A request carrying a trace context joins the caller's trace:
         # the request span adopts the remote trace id, and the completed
         # subtree is shipped back on the response for stitching.
-        trace_ctx = pending.trace if _obs.enabled() else None
         root_sp = None
         try:
-            if trace_ctx is not None:
-                cm = _dist.adopt(trace_ctx, "service.request", op=op)
-            else:
-                cm = _obs.span("service.request", op=op)
-            with cm as root_sp:
+            with request_span("service.request", op,
+                              pending.trace) as root_sp:
                 # crash/hang kinds act here, on the owning thread: a
                 # crash kills the process (the supervisor's problem), a
                 # hang stalls the loop until the heartbeat goes stale.
@@ -460,16 +347,8 @@ class TransformationService:
             response = error_response(
                 pending.req_id, INTERNAL,
                 f"{type(exc).__name__}: {exc}")
-        if trace_ctx is not None and _obs.enabled():
-            tracer = _obs.get_tracer()
-            if tracer is not None and isinstance(root_sp, _obs.Span):
-                spans, dropped = _dist.ship(
-                    tracer, root_sp, trace_ctx,
-                    extra=_dist.get_collector().drain(trace_ctx["id"]))
-                if spans:
-                    response["spans"] = spans
-                if dropped:
-                    response["spans_dropped"] = dropped
+        if pending.trace is not None and _obs.enabled():
+            ship_spans(response, root_sp, pending.trace)
         elapsed_ms = (time.monotonic() - start) * 1000.0
         if code is None:
             self.counters["completed"] = int(self.counters["completed"]) + 1
@@ -516,7 +395,7 @@ class TransformationService:
         hits for everything merged here)."""
         if self.pool is None or self.pool.degraded:
             return {}
-        groups: Dict[Tuple, List[Tuple[_Pending, object]]] = {}
+        groups: Dict[Tuple, List[Tuple[Pending, object]]] = {}
         for pending in batch:
             if pending.op != "legality":
                 continue
@@ -543,11 +422,12 @@ class TransformationService:
             if _obs.enabled():
                 get_metrics().counter(
                     "service.batched_legality").inc(len(outcomes))
-            for idx, (pending, _t) in enumerate(members):
+            for idx, (pending, transformation) in enumerate(members):
                 outcome = outcomes.get(idx)
                 if outcome is not None:
                     out[id(pending)] = merge_outcome(
-                        self.state.legality_cache, nest, deps, outcome)
+                        self.state.legality_cache, nest, deps, outcome,
+                        transformation)
         return out
 
     # -- shared param plumbing ---------------------------------------------
@@ -558,10 +438,10 @@ class TransformationService:
             raise ProtocolError(BAD_INPUT,
                                 "params.text must be a non-empty string")
         level = params.get("level", "fm")
-        if level not in _LEVELS:
+        if level not in LEVELS:
             raise ProtocolError(
                 BAD_INPUT,
-                f"params.level must be one of {', '.join(_LEVELS)}")
+                f"params.level must be one of {', '.join(LEVELS)}")
         nest = self.state.nest(text, bool(params.get("sink", False)))
         return nest, level
 
@@ -819,11 +699,27 @@ class TransformationService:
 
 # -- transports -------------------------------------------------------------
 
+def _stream_replier(stream) -> Callable[[dict], None]:
+    """A thread-safe reply function writing NDJSON responses to
+    *stream*; a reader that went away is ignored, so draining goes on."""
+    write_lock = threading.Lock()
+
+    def reply(obj: dict) -> None:
+        with write_lock:
+            try:
+                stream.write(protocol.encode(obj))
+                stream.flush()
+            except (OSError, ValueError):
+                pass
+
+    return reply
+
+
 def pump_frames(read_chunk: Callable[[], bytes],
-                service: TransformationService,
+                service: AdmissionFront,
                 reply: Callable[[dict], None]) -> None:
     """Split a byte stream into newline frames and feed them to
-    :meth:`TransformationService.ingest_bytes`.
+    :meth:`AdmissionFront.ingest_bytes`.
 
     A frame that outgrows the size cap before its newline arrives gets
     one typed ``bad-request`` and the stream *resyncs* at the next
@@ -864,7 +760,7 @@ def pump_frames(read_chunk: Callable[[], bytes],
         service.ingest_bytes(buf, reply)
 
 
-def serve_stdio(service: TransformationService,
+def serve_stdio(service: AdmissionFront,
                 in_stream=None, out_stream=None) -> None:
     """Serve NDJSON over stdio; returns once drained (stdin EOF, a
     signal, or a ``shutdown`` request)."""
@@ -879,16 +775,8 @@ def serve_stdio(service: TransformationService,
             raw_fd = sys.stdin.fileno()
         except (OSError, ValueError, AttributeError):
             in_stream = sys.stdin
-    out_stream = out_stream if out_stream is not None else sys.stdout
-    write_lock = threading.Lock()
-
-    def reply(obj: dict) -> None:
-        with write_lock:
-            try:
-                out_stream.write(protocol.encode(obj))
-                out_stream.flush()
-            except (OSError, ValueError):
-                pass  # reader went away; keep draining
+    reply = _stream_replier(out_stream if out_stream is not None
+                            else sys.stdout)
 
     def reader() -> None:
         if raw_fd is not None:
@@ -907,7 +795,7 @@ def serve_stdio(service: TransformationService,
     service.run()
 
 
-def serve_tcp(service: TransformationService, host: str = "127.0.0.1",
+def serve_tcp(service: AdmissionFront, host: str = "127.0.0.1",
               port: int = 0,
               bound_callback: Optional[Callable[[str, int], None]] = None,
               ) -> None:
@@ -922,17 +810,8 @@ def serve_tcp(service: TransformationService, host: str = "127.0.0.1",
           file=sys.stderr, flush=True)
 
     def handle_connection(conn: socket.socket) -> None:
-        wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-        write_lock = threading.Lock()
-
-        def reply(obj: dict) -> None:
-            with write_lock:
-                try:
-                    wfile.write(protocol.encode(obj))
-                    wfile.flush()
-                except (OSError, ValueError):
-                    pass  # client went away; keep draining
-
+        reply = _stream_replier(
+            conn.makefile("w", encoding="utf-8", newline="\n"))
         try:
             # Byte-level pump: oversized / non-UTF-8 frames become
             # typed errors instead of killing the connection.

@@ -61,6 +61,22 @@ def fig2_nest():
     """)
 
 
+@pytest.fixture(params=["service", "fleet"])
+def make_front(request):
+    """Build either admission front — a ``TransformationService`` or a
+    ``FleetFrontEnd`` over a fake router, so no worker process starts —
+    for the tests both fronts must pass."""
+    from repro.fleet import FleetFrontEnd
+    from repro.service import TransformationService
+    from tests.test_fleet import _FakeRouter
+
+    def build(**kwargs):
+        if request.param == "service":
+            return TransformationService(**kwargs)
+        return FleetFrontEnd(_FakeRouter(), **kwargs)
+    return build
+
+
 def random_array_2d(rng: random.Random, lo: int, hi: int, name: str = "",
                     limit: int = 100) -> Array:
     """A dense random 2-D array over [lo, hi] x [lo, hi]."""

@@ -206,6 +206,22 @@ class TestCommands:
         final = parse_steps(steps, nest.depth).legality(nest, deps).final_deps
         assert rows[-1] == f"-- Block: D = {final}"
 
+    def test_transform_trace_of_bounds_illegal_sequence(self, tmp_path,
+                                                         capsys):
+        """``--trace`` prints the stages that fold, then the verdict:
+        exit 1 with ``ILLEGAL``, exactly as without ``--trace``."""
+        path = tmp_path / "triangular.loop"
+        path.write_text("do i = 1, n\n  do j = i, n\n    a(i, j) = i + j\n"
+                        "  enddo\nenddo\n")
+        code = main(["transform", str(path), "--steps", "interchange(1,2)",
+                     "--trace"])
+        assert code == 1
+        captured = capsys.readouterr()
+        rows = [line for line in captured.out.splitlines()
+                if line.startswith("-- ")]
+        assert rows == ["-- START: D = {}"]
+        assert captured.err.startswith("ILLEGAL: ")
+
     def test_spec_error_reported(self, stencil_file, capsys):
         code = main(["transform", stencil_file, "--steps", "bogus(1)"])
         assert code == 2
@@ -275,3 +291,67 @@ class TestServeClient:
         script.write_text("not json\n")
         assert main(["client", str(script)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_serve_children_inherit_serve_options(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """The ``--supervise`` child and every fleet worker start from
+        one argv builder; parsed back, each carries the serve options it
+        was given."""
+        from repro import fleet
+        from repro.cli import build_parser
+        from repro.fleet import FleetError, WorkerHandle
+        from repro.resilience import supervisor
+
+        options = ["--engine", "interpreter", "--queue-max", "7",
+                   "--batch-max", "3", "--cache-max-entries", "99",
+                   "--prune", "--speculate", "--model", "evidence",
+                   "--request-timeout", "2.5", "--jobs", "3"]
+        argvs = []
+
+        class RecordingSupervisor:
+            def __init__(self, argv, **kwargs):
+                argvs.append(argv)
+                self.restarts = []
+
+            def install_signal_handlers(self):
+                pass
+
+            def run(self):
+                return 0
+
+        class RecordingRouter:
+            def __init__(self, n, directory, **worker_options):
+                handle = WorkerHandle(0, directory, **worker_options)
+                argvs.append(handle.supervisor.child_argv)
+
+            def start(self):
+                raise FleetError("not started")
+
+        monkeypatch.setattr(supervisor, "Supervisor", RecordingSupervisor)
+        monkeypatch.setattr(fleet, "FleetRouter", RecordingRouter)
+        assert main(["serve", "--tcp", "--supervise", "--heartbeat-file",
+                     str(tmp_path / "s.hb"), *options]) == 0
+        assert main(["serve", "--tcp", "--fleet", "2", "--fleet-dir",
+                     str(tmp_path), *options]) == 1
+        capsys.readouterr()
+        parser = build_parser()
+        given = parser.parse_args(["serve", *options])
+        assert len(argvs) == 2
+        for argv in argvs:
+            assert argv[1:4] == ["-m", "repro", "serve"]
+            child = parser.parse_args(argv[3:])
+            for name in ("engine", "queue_max", "batch_max",
+                         "cache_max_entries", "prune", "speculate",
+                         "model", "request_timeout", "jobs"):
+                assert getattr(child, name) == getattr(given, name), name
+
+    def test_cli_choices_mirror_the_registries(self):
+        """``ENGINE_CHOICES``/``MODEL_CHOICES`` copy the runtime's and the
+        optimizer's name lists to keep CLI startup light; they must not
+        drift."""
+        from repro.cli import ENGINE_CHOICES, MODEL_CHOICES
+        from repro.optimize.model import MODEL_NAMES
+        from repro.runtime import ENGINE_NAMES
+
+        assert tuple(ENGINE_CHOICES) == tuple(ENGINE_NAMES)
+        assert tuple(MODEL_CHOICES) == tuple(MODEL_NAMES)

@@ -247,8 +247,8 @@ def _ingest(frontend, req):
     return replies
 
 
-def test_frontend_backpressure_and_drain_rejections():
-    frontend = FleetFrontEnd(_FakeRouter(), queue_max=2)
+def test_frontend_backpressure_and_drain_rejections(make_front):
+    frontend = make_front(queue_max=2)
     assert _ingest(frontend, {"id": 1, "op": "ping"}) == []  # queued
     assert _ingest(frontend, {"id": 2, "op": "ping"}) == []
     (rej,) = _ingest(frontend, {"id": 3, "op": "ping"})

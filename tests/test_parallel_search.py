@@ -112,6 +112,22 @@ def test_jobs4_identical_with_locality_score():
     assert_identical(serial, parallel)
 
 
+@pytest.mark.parametrize("guided", [False, True],
+                         ids=["brute", "prune-speculate"])
+def test_jobs2_identical_with_bounded_cache(guided):
+    """A bounded cache touches and evicts as it goes: the pooled run's
+    replay must make the serial run's touches and evictions, and serve
+    the reads a worker took from its forked copy, for the stats to
+    match."""
+    nest = parse_nest(MATMUL)
+    deps = analyze(nest)
+    runs = [search(nest, deps, config=SearchConfig(
+        cache=LegalityCache(max_entries=8), jobs=jobs, prune=guided,
+        speculate=guided)) for jobs in (1, 2)]
+    assert runs[0].cache_stats["evictions"] > 0
+    assert_identical(*runs)
+
+
 def test_shared_cache_keeps_serving_after_parallel_search(matmul_nest):
     """Entries merged from worker deltas are first-class: a follow-up
     serial search on the same cache hits them."""

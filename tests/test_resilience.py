@@ -303,8 +303,8 @@ def test_service_budget_applies_around_candidate_timeouts():
 # protocol hardening: malformed frames, fuzzing
 # ---------------------------------------------------------------------------
 
-def test_invalid_utf8_frame_is_typed():
-    service = TransformationService()
+def test_invalid_utf8_frame_is_typed(make_front):
+    service = make_front()
     replies = []
     service.ingest_bytes(b'\xff\xfe{"id":1}', replies.append)
     assert replies[0]["error"]["code"] == protocol.BAD_REQUEST
@@ -313,17 +313,17 @@ def test_invalid_utf8_frame_is_typed():
     assert replies[-1]["ok"]
 
 
-def test_oversized_frame_is_typed():
+def test_oversized_frame_is_typed(make_front):
     guards.set_limits(guards.GuardLimits(max_frame_bytes=128))
-    service = TransformationService()
+    service = make_front()
     replies = []
     service.ingest_bytes(b"x" * 256, replies.append)
     assert replies[0]["error"]["code"] == protocol.BAD_REQUEST
     assert "REPRO_MAX_FRAME_BYTES" in replies[0]["error"]["message"]
 
 
-def test_truncated_json_is_typed():
-    service = TransformationService()
+def test_truncated_json_is_typed(make_front):
+    service = make_front()
     replies = []
     service.ingest_bytes(b'{"id": 1, "op": "pi', replies.append)
     assert replies[0]["error"]["code"] == protocol.BAD_REQUEST
