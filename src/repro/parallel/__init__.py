@@ -4,8 +4,8 @@
 it shards each level's candidate evaluations across forked worker
 processes via :class:`~repro.parallel.pool.ShardedPool`.  Candidates
 cross the process boundary as step-spec wire forms (see
-:mod:`repro.parallel.worker`), results come back with content-keyed
-legality-cache deltas that the parent replays in serial candidate order
+:mod:`repro.parallel.worker`), results come back with legality-cache
+deltas that the parent replays in serial candidate order
 (:mod:`repro.parallel.merge`), which makes the parallel search
 bit-identical to the serial one — same winner, same score, same
 ``explored``/``legal_count``, same ``cache_stats``.

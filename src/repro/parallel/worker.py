@@ -225,8 +225,8 @@ def worker_main(worker_id: int, kind: str, shard: List[Tuple[int, Tuple]],
 
     *shard* is a list of ``(index, candidate_wire)`` pairs in serial
     candidate order; *cache* is the fork-inherited copy of the parent's
-    legality cache (level-start state), so deltas contain exactly the
-    entries a serial evaluation would have added.  *trace_ctx* (only
+    legality cache (level-start state); each delta logs the values the
+    candidate's legality fold read or computed on it.  *trace_ctx* (only
     passed when the parent is tracing) joins this worker's spans to the
     parent's distributed trace: the fork-inherited tracer is replaced by
     a fresh one — a fresh process tag, so span ids cannot collide with
