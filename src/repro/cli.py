@@ -96,6 +96,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import obs
@@ -132,7 +133,7 @@ MODEL_CHOICES = ("evidence", "static")
 # ---------------------------------------------------------------------------
 
 def _read_nest(path: str, sink_imperfect: bool = False):
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     if sink_imperfect:
         from repro.ir import parse_imperfect, sink
         return sink(parse_imperfect(text))
@@ -609,7 +610,7 @@ def cmd_client(args) -> int:
     from repro.service import ServiceClient
 
     text = (sys.stdin.read() if args.script == "-"
-            else open(args.script).read())
+            else Path(args.script).read_text())
     requests = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -27,16 +27,16 @@ never mutated after construction, so callers may share one.
 from __future__ import annotations
 
 import functools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.expr.linear import AffineForm, BoundType, affine_form
+from repro.expr.linear import BoundType, split_affine
 from repro.expr.nodes import (
     Const,
     Expr,
     Max,
     Min,
     add,
-    free_vars,
+    from_linear,
     mul,
     to_str,
     var,
@@ -123,31 +123,13 @@ class BoundCell:
 
 
 def _decompose(expr: Expr, index_names: Sequence[str]) -> BoundTermInfo:
-    """Split one (non-max/min) expression into the matrix-entry form."""
-    form = affine_form(expr, index_names)
-    if form is not None:
-        return BoundTermInfo(dict(form.coeffs), form.rest, frozenset())
-    # Not affine: pull out whatever affine part exists by decomposing the
-    # top-level sum; non-affine addends fold into rest with their index
-    # variables tagged nonlinear.
-    from repro.expr.nodes import Add
-
-    addends = expr.terms if isinstance(expr, Add) else (expr,)
-    coeffs: Dict[str, int] = {}
-    rest_parts: List[Expr] = []
-    nonlinear: set = set()
-    wanted = set(index_names)
-    for term in addends:
-        sub = affine_form(term, index_names)
-        if sub is not None:
-            for v, c in sub.coeffs.items():
-                coeffs[v] = coeffs.get(v, 0) + c
-            rest_parts.append(sub.rest)
-        else:
-            rest_parts.append(term)
-            nonlinear |= (free_vars(term) & wanted)
-    return BoundTermInfo(coeffs, add(*rest_parts) if rest_parts else Const(0),
-                         frozenset(nonlinear))
+    """Split one expression into the matrix-entry form: atoms that use
+    an index variable nonlinearly fold into rest, the variable tagged."""
+    nonlinear: Set[str] = set()
+    coeffs, others, constant = split_affine(expr, set(index_names),
+                                            nonlinear)
+    rest = from_linear(others, constant) if coeffs else expr
+    return BoundTermInfo(coeffs, rest, frozenset(nonlinear))
 
 
 def _build_cell(expr: Expr, index_names: Sequence[str],
@@ -161,14 +143,10 @@ def _build_cell(expr: Expr, index_names: Sequence[str],
     if allow == "min" and isinstance(expr, Min):
         return BoundCell(expr, [_decompose(a, index_names) for a in expr.args],
                          "min")
-    if isinstance(expr, (Max, Min)):
-        # Wrong-direction max/min: a single opaque nonlinear term (in the
-        # index variables it mentions).
-        wanted = set(index_names)
-        used = free_vars(expr) & wanted
-        term = BoundTermInfo({}, expr, frozenset(used))
-        return BoundCell(expr, [term], "opaque")
-    return BoundCell(expr, [_decompose(expr, index_names)], None)
+    # A wrong-direction max/min is one opaque atom: a single term,
+    # nonlinear in the index variables it mentions.
+    return BoundCell(expr, [_decompose(expr, index_names)],
+                     "opaque" if isinstance(expr, (Max, Min)) else None)
 
 
 class BoundsMatrix:

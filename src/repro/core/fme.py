@@ -40,7 +40,7 @@ from repro.deps.analysis.linear_system import (
     _drop_dominated,
     _eliminate,
 )
-from repro.expr.linear import affine_form
+from repro.expr.linear import split_affine
 from repro.expr.nodes import (
     Const,
     Expr,
@@ -49,7 +49,6 @@ from repro.expr.nodes import (
     add,
     ceildiv,
     floordiv,
-    linear_parts,
     mul,
     neg,
     to_str,
@@ -65,17 +64,32 @@ from repro.util.matrices import IntMatrix
 Atoms = Dict[str, Expr]
 
 
-def make_row(coeffs: Mapping[str, int], rest: Expr,
-             atoms: Atoms) -> LinConstraint:
-    """The row ``sum(coeffs[v] * v) + rest >= 0``: *rest* (invariant in
-    the index variables) is split into atoms, registered in *atoms*."""
-    row = dict(coeffs)
-    parts, const = linear_parts(rest)
-    for atom, c in parts.items():
+def affine_row(expr: Expr, names: Sequence[str], scale: int,
+               extra: Mapping[str, int],
+               atoms: Atoms) -> Optional[LinConstraint]:
+    """The row ``scale * expr + sum(extra[v] * v) >= 0`` from one read of
+    *expr*'s linear form: its coefficients over the index variables
+    *names*, then *extra*'s, then its invariant atoms, registered in
+    *atoms*.  ``None`` when *expr* is not affine in *names*."""
+    split = split_affine(expr, set(names))
+    if split is None:
+        return None
+    index, others, const = split
+    row = {v: scale * c for v, c in index.items()}
+    for v, c in extra.items():
+        row[v] = row.get(v, 0) + c
+    for atom, c in others.items():
         key = "$" + to_str(atom)
         atoms[key] = atom
-        row[key] = row.get(key, 0) + c
-    return LinConstraint(row, const)
+        row[key] = row.get(key, 0) + scale * c
+    return LinConstraint(row, scale * const)
+
+
+def make_row(coeffs: Mapping[str, int], rest: Expr,
+             atoms: Atoms) -> LinConstraint:
+    """The row ``sum(coeffs[v] * v) + rest >= 0``, *rest*'s atoms
+    registered in *atoms*."""
+    return affine_row(rest, (), 1, coeffs, atoms)
 
 
 def constraint_from_bound(expr: Expr, names: Sequence[str],
@@ -97,14 +111,12 @@ def constraint_from_bound(expr: Expr, names: Sequence[str],
     sign = 1 if is_lower else -1  # x_k - term >= 0, or term - x_k >= 0
     out = []
     for term in terms:
-        form = affine_form(term, names)
-        if form is None:
+        row = affine_row(term, names, -sign, {own: sign}, atoms)
+        if row is None:
             raise CodegenError(
                 f"bound {term} is not affine in {list(names)}; "
                 "unimodular codegen requires linear bounds")
-        coeffs = {v: -sign * c for v, c in form.coeffs.items()}
-        coeffs[own] = coeffs.get(own, 0) + sign
-        out.append(make_row(coeffs, mul(Const(-sign), form.rest), atoms))
+        out.append(row)
     return out
 
 

@@ -35,8 +35,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.fme import (
     Atoms,
+    affine_row,
     constraint_from_bound,
-    make_row,
     scan_bounds,
     transform_constraints,
 )
@@ -47,6 +47,7 @@ from repro.deps.vector import DepVector
 from repro.expr.linear import BoundType, affine_form
 from repro.expr.nodes import Const, Expr, add, mul, substitute, var
 from repro.ir.loopnest import DO, InitStmt, Loop
+from repro.obs import trace as _obs
 from repro.util.errors import CodegenError, PreconditionViolation
 from repro.util.matrices import IntMatrix
 
@@ -112,12 +113,10 @@ class Unimodular(Template):
                 # bounds, which stays affine only when l and u are plain
                 # affine terms (a max/min lower bound cannot appear on
                 # the right of an equality).
-                from repro.expr.linear import affine_form as _aff
-
                 names = [lp.index for lp in loops]
                 for which, e in (("lower", loops[j - 1].lower),
                                  ("upper", loops[j - 1].upper)):
-                    if _aff(e, names) is None:
+                    if affine_form(e, names) is None:
                         raise PreconditionViolation(
                             self.signature(),
                             f"{which} bound of non-unit-step loop "
@@ -141,12 +140,12 @@ class Unimodular(Template):
                   taken: Set[str]) -> TransformedLoops:
         self._require_depth(loops)
         atoms: Atoms = {}
-        norm_names, norm_inits, rows = _normalize(loops, taken, atoms)
-
-        y_names = self._output_names(loops, taken)
-        transformed = transform_constraints(rows, self._inverse,
-                                            norm_names, y_names)
-        bounds = scan_bounds(transformed, y_names, atoms)
+        with _obs.span("codegen.fm_scan", depth=self.n):
+            norm_names, norm_inits, rows = _normalize(loops, taken, atoms)
+            y_names = self._output_names(loops, taken)
+            transformed = transform_constraints(rows, self._inverse,
+                                                norm_names, y_names)
+            bounds = scan_bounds(transformed, y_names, atoms)
 
         out_loops = tuple(
             Loop(y_names[k], lo, hi, Const(1), DO)
@@ -231,12 +230,11 @@ def _normalize(loops: Sequence[Loop], taken: Set[str], atoms: Atoms
             span = add(upper, mul(Const(-1), lower))
         else:
             span = add(lower, mul(Const(-1), upper))
-        form = affine_form(span, norm_names)
-        if form is None:
+        row = affine_row(span, norm_names, 1, {t_name: -abs(step_value)},
+                         atoms)
+        if row is None:
             raise CodegenError(
                 f"bounds of loop {lp.index} are not affine after step "
                 "normalization")
-        coeffs = dict(form.coeffs)
-        coeffs[t_name] = coeffs.get(t_name, 0) - abs(step_value)
-        constraints.append(make_row(coeffs, form.rest, atoms))
+        constraints.append(row)
     return norm_names, inits, constraints

@@ -84,12 +84,13 @@ from repro.deps.analysis.tests import (
     gcd_test,
 )
 from repro.deps.vector import DepEntry, DepSet, DepVector
-from repro.expr.linear import affine_form
+from repro.expr.linear import split_affine
 from repro.expr.nodes import (
     Const,
     Expr,
     Max,
     Min,
+    Var,
     add,
     call,
     free_vars,
@@ -110,18 +111,18 @@ def _affine_dict(expr: Expr, index_names: Sequence[str], suffix: str,
                  invariants: Sequence[str]
                  ) -> Optional[Tuple[Coeffs, Fraction]]:
     """Express *expr* as coefficients over suffixed iteration variables
-    and plain invariant symbols, plus a rational constant."""
-    form = affine_form(expr, index_names)
-    if form is None:
+    and plain invariant symbols (its only allowed atoms), plus a rational
+    constant."""
+    split = split_affine(expr, set(index_names))
+    if split is None:
         return None
-    coeffs: Coeffs = {f"{v}{suffix}": Fraction(c)
-                      for v, c in form.coeffs.items()}
-    inv_form = affine_form(form.rest, invariants)
-    if inv_form is None or not isinstance(inv_form.rest, Const):
-        return None
-    for v, c in inv_form.coeffs.items():
-        coeffs[v] = coeffs.get(v, Fraction(0)) + Fraction(c)
-    return coeffs, Fraction(inv_form.rest.value)
+    index, others, constant = split
+    coeffs: Coeffs = {f"{v}{suffix}": Fraction(c) for v, c in index.items()}
+    for atom, c in others.items():
+        if not (isinstance(atom, Var) and atom.name in invariants):
+            return None
+        coeffs[atom.name] = Fraction(c)
+    return coeffs, Fraction(constant)
 
 
 def _distance_name(name: str) -> str:

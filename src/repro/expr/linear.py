@@ -1,4 +1,4 @@
-"""Affine-form extraction and the paper's ``type(expr, x)`` lattice.
+"""Affine views of the linear normal form and the ``type(expr, x)`` lattice.
 
 Section 4.1 of the paper classifies how a bounds expression ``expr`` uses
 an index variable ``x``::
@@ -19,27 +19,28 @@ Max/min functions are nonlinear in general, but the paper's special case
 as linear, since each term is a separate linear inequality.  That decision
 depends on bound position and step sign, so it is exposed here as
 :func:`bound_type_through_minmax` and applied by the bounds-matrix layer.
+
+Nothing here walks an expression tree: :func:`split_affine` filters a
+node's cached linear form (:func:`repro.expr.nodes.linear_parts`), and
+:func:`affine_form`, :func:`bound_type`, the bounds matrices, the
+analyzer's subscript rows and Fourier–Motzkin rows all read that filter.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Optional, Set, Tuple
 
 from repro.expr.nodes import (
-    Add,
-    Call,
-    CeilDiv,
     Const,
     Expr,
-    FloorDiv,
     Max,
     Min,
-    Mod,
-    Mul,
     Var,
     add,
     free_vars,
+    from_linear,
+    linear_parts,
     mul,
 )
 
@@ -97,59 +98,45 @@ class AffineForm:
                 self.coeffs == other.coeffs and self.rest == other.rest)
 
 
+def split_affine(e: Expr, wanted: AbstractSet[str],
+                 nonlinear: Optional[Set[str]] = None
+                 ) -> Optional[Tuple[Dict[str, int], Dict[Expr, int], int]]:
+    """*e*'s linear form split over the names *wanted*: ``(coeffs,
+    others, constant)``, *coeffs* mapping each wanted ``Var`` atom's name
+    to its coefficient and *others* holding the other atoms with theirs.
+    Any other atom that mentions a wanted variable (``n*i``, ``div(i,
+    2)``) makes *e* non-affine: the result is ``None``, unless a
+    *nonlinear* set is given to collect those variables."""
+    parts, constant = linear_parts(e)
+    coeffs: Dict[str, int] = {}
+    others: Dict[Expr, int] = {}
+    for atom, c in parts.items():
+        if isinstance(atom, Var) and atom.name in wanted:
+            coeffs[atom.name] = c
+            continue
+        touched = free_vars(atom) & wanted
+        if touched:
+            if nonlinear is None:
+                return None
+            nonlinear |= touched
+        others[atom] = c
+    return coeffs, others, constant
+
+
 def affine_form(e: Expr, wrt: Iterable[str]) -> Optional[AffineForm]:
     """Extract an affine form of *e* over the variables *wrt*.
 
     Returns ``None`` when *e* is not affine in those variables with
     compile-time integer coefficients (the paper's `linear` requirement).
-    Variables outside *wrt* are left symbolic inside ``rest``.
+    Variables outside *wrt* are left symbolic inside ``rest``.  A filter
+    over :func:`split_affine`; the tree is not walked again.
     """
-    wanted: Set[str] = set(wrt)
-
-    def walk(node: Expr) -> Optional[Tuple[Dict[str, int], list]]:
-        if not (free_vars(node) & wanted):
-            return {}, [node]
-        if isinstance(node, Var):
-            return {node.name: 1}, []
-        if isinstance(node, Add):
-            coeffs: Dict[str, int] = {}
-            rests: list = []
-            for t in node.terms:
-                sub = walk(t)
-                if sub is None:
-                    return None
-                for v, c in sub[0].items():
-                    coeffs[v] = coeffs.get(v, 0) + c
-                rests.extend(sub[1])
-            return coeffs, rests
-        if isinstance(node, Mul):
-            # Normalization distributes constants over sums, so at this
-            # point a product involving a wanted variable must be
-            # Const * Var to qualify as linear.
-            factors = list(node.factors)
-            constant = 1
-            symbolic = []
-            for f in factors:
-                if isinstance(f, Const):
-                    constant *= f.value
-                else:
-                    symbolic.append(f)
-            touching = [f for f in symbolic if free_vars(f) & wanted]
-            if len(touching) != 1 or not isinstance(touching[0], Var):
-                return None
-            if len(symbolic) != 1:
-                # e.g. n * i: coefficient of i is not a compile-time const.
-                return None
-            return {touching[0].name: constant}, []
-        # FloorDiv / CeilDiv / Mod / Min / Max / Call touching a wanted
-        # variable are nonlinear by the paper's definition.
+    split = split_affine(e, set(wrt))
+    if split is None:
         return None
-
-    result = walk(e)
-    if result is None:
-        return None
-    coeffs, rests = result
-    return AffineForm(coeffs, add(*rests) if rests else Const(0))
+    coeffs, others, constant = split
+    # With no wanted atom removed, rest is e's own form rebuilt: e.
+    return AffineForm(coeffs, from_linear(others, constant) if coeffs else e)
 
 
 def bound_type(e: Expr, x: str) -> BoundType:

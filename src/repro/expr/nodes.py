@@ -18,8 +18,11 @@ constructors at the bottom of this module (:func:`add`, :func:`mul`,
   folded; arguments whose difference is a known constant are pruned;
 * ``div``/``mod`` simplify for constant operands and unit divisors.
 
-The normal form gives the linear-form extraction in
-:mod:`repro.expr.linear` a trivially canonical input.
+Each node's *linear normal form* (:func:`linear_parts`: atom such as
+``n``, ``i*j`` or ``div(i, 2)`` -> integer coefficient, plus a constant,
+as :func:`add` collects them) is computed at most once and cached beside
+its hash.  ``min``/``max`` folding compares arguments by it, and every
+affine view in :mod:`repro.expr.linear` is a filter over it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ _DISTRIBUTE_LIMIT = 64
 class Expr:
     """Base class of all expression nodes.  Immutable."""
 
-    __slots__ = ("_hash", "_free")
+    __slots__ = ("_hash", "_free", "_form")
 
     # Subclasses fill in _key() returning a hashable structural identity.
 
@@ -57,7 +60,7 @@ class Expr:
 
     def __setattr__(self, name, value):
         # Allow only the lazily-cached private fields to be set.
-        if name in ("_hash", "_free"):
+        if name in ("_hash", "_free", "_form"):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("expressions are immutable")
@@ -65,12 +68,13 @@ class Expr:
     # The guarded __setattr__ breaks pickle's default slot-state
     # restoration, so spell the state protocol out.  ``_hash`` caches
     # ``hash(str)`` values, which are salted per process — dropping it
-    # keeps a pickled expression from carrying a foreign process's hash.
+    # keeps a pickled expression from carrying a foreign process's hash;
+    # dropping ``_form`` keeps the bytes independent of cached forms.
     def __getstate__(self):
         state = {}
         for klass in type(self).__mro__:
             for name in getattr(klass, "__slots__", ()):
-                if name != "_hash" and hasattr(self, name):
+                if name not in ("_hash", "_form") and hasattr(self, name):
                     state[name] = getattr(self, name)
         return state
 
@@ -303,19 +307,25 @@ def _collect(terms) -> Tuple[Dict[Expr, int], int]:
 
 
 def linear_parts(e: Expr) -> Tuple[Dict[Expr, int], int]:
-    """*e* as ``sum(coeff * summand) + constant``: the distinct
-    non-constant summands of its :func:`add` normal form with their
-    nonzero integer coefficients, and the constant part."""
-    buckets, constant = _collect((e,))
-    return {r: c for r, c in buckets.items() if c != 0}, constant
+    """*e* as ``sum(coeff * atom) + constant``: the distinct non-constant
+    summands (atoms) of its :func:`add` normal form with their nonzero
+    integer coefficients, in order, and the constant part.  Cached on
+    the node: callers share the map and must not mutate it."""
+    form = getattr(e, "_form", None)
+    if form is None:
+        buckets, constant = _collect((e,))
+        form = ({r: c for r, c in buckets.items() if c != 0}, constant)
+        object.__setattr__(e, "_form", form)
+    return form
 
 
-def add(*terms) -> Expr:
-    """Normalized sum of the given expressions/ints."""
-    buckets, constant = _collect([_coerce(t) for t in terms])
+def from_linear(parts: Mapping[Expr, int], constant: int = 0) -> Expr:
+    """The normalized ``sum(parts[atom] * atom) + constant`` over atoms
+    as :func:`linear_parts` returns them; ``from_linear(*linear_parts(e))
+    == e``."""
     result_terms = []
-    for rest in sorted(buckets, key=_sort_key):
-        c = buckets[rest]
+    for rest in sorted(parts, key=_sort_key):
+        c = parts[rest]
         if c == 0:
             continue
         result_terms.append(rest if c == 1 else _raw_mul(c, rest))
@@ -326,6 +336,11 @@ def add(*terms) -> Expr:
     if len(result_terms) == 1:
         return result_terms[0]
     return Add(tuple(result_terms))
+
+
+def add(*terms) -> Expr:
+    """Normalized sum of the given expressions/ints."""
+    return from_linear(*_collect([_coerce(t) for t in terms]))
 
 
 def _raw_mul(c: int, rest: Expr) -> Expr:
@@ -467,27 +482,31 @@ def _fold_minmax(args, op: Callable[[int, int], int], cls):
     # Prune arguments dominated by another argument: if sub(x, y) folds
     # to a constant d we know which one wins (for Max x loses when
     # d < 0, for Min when d > 0; ties keep the earlier argument).
-    # sub(x, y) folds exactly when x's summands cancel those of neg(y),
-    # and then d = const(x) + const(neg(y)), so arguments are grouped by
-    # summand signature instead of compared pairwise.  Each group keeps
-    # its two strongest rivals, ranked (sign * -const(neg(y)), -index).
+    # sub(x, y) = add(x, neg(y)) folds exactly when x's atoms cancel
+    # those of neg(y), whose form is y's own negated, so arguments are
+    # grouped by atoms instead of compared pairwise.  Each group keeps
+    # its two strongest rivals, ranked (sign * const, -index).  neg()
+    # renormalizes a product over sums, and leaves a sum too long to
+    # distribute over as one atom: such a y is no rival.
     sign = 1 if cls is Max else -1
+    ranked = []
     rivals: Dict[frozenset, list] = {}
     for idx, y in enumerate(seen):
-        parts, c = linear_parts(neg(y))
-        top = rivals.setdefault(
-            frozenset((r, -k) for r, k in parts.items()), [])
-        top.append(((-sign * c, -idx), idx))
+        parts, c = linear_parts(y)
+        ranked.append((frozenset(parts.items()), (sign * c, -idx), idx))
+        if type(y) is Mul and Add in map(type, y.factors):
+            parts, c = linear_parts(mul(*y.factors))
+        elif isinstance(y, Add) and len(y.terms) > _DISTRIBUTE_LIMIT:
+            continue
+        top = rivals.setdefault(frozenset(parts.items()), [])
+        top.append(((sign * c, -idx), idx))
         top.sort(reverse=True)
         del top[2:]
-    pruned = []
-    for idx, x in enumerate(seen):
-        parts, c = linear_parts(x)
-        top = rivals.get(frozenset(parts.items()), ())
-        rival = next((rank for rank, j in top if j != idx), None)
-        if rival is None or rival < (sign * c, -idx):
-            pruned.append(x)
-    result = pruned
+    result = []
+    for x, (key, rank, idx) in zip(seen, ranked):
+        rival = next((r for r, j in rivals.get(key, ()) if j != idx), None)
+        if rival is None or rival < rank:
+            result.append(x)
     if constant is not None:
         result.append(Const(constant))
     if not result:

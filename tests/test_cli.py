@@ -12,6 +12,12 @@ from repro.core import (
     Unimodular,
 )
 
+# A file handle left for the garbage collector is a bug: every leak
+# (a ResourceWarning, or the same raised from a finalizer) fails the test.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning")
+
 STENCIL = """
 do i = 2, n-1
   do j = 2, n-1

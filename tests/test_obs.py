@@ -230,6 +230,31 @@ class TestInstrumentedPipeline:
             - counters["deps.pairs_conservative"])
         assert all(sp.depth > 0 for sp in projections)
 
+    def test_unimodular_scan_traces_one_span_per_map_loops(self, clean_obs):
+        from repro.core.codegen import collect_taken
+        from repro.core.sequence import Transformation
+        from repro.core.templates.unimodular import Unimodular
+        from repro.util.errors import CodegenError
+
+        tracer = obs.enable()
+        nest = parse_nest(MATMUL)
+        skew = Unimodular(3, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+        for _ in range(3):
+            skew.map_loops(nest.loops, collect_taken(nest))
+        Transformation.of(skew).apply(nest, check=False)
+        nonlinear = parse_nest("do i = 1, n\n  do j = 1, n*i\n"
+                               "    a(i, j) = 0\n  enddo\nenddo\n")
+        with pytest.raises(CodegenError):
+            Unimodular(2, [[0, 1], [1, 0]]).map_loops(
+                nonlinear.loops, collect_taken(nonlinear))
+        spans = tracer.spans()
+        scans = [sp for sp in spans if sp.name == "codegen.fm_scan"]
+        assert len(scans) == 5
+        assert [sp.tags["depth"] for sp in scans] == [3, 3, 3, 3, 2]
+        assert [sp.error for sp in scans] == [None] * 4 + ["CodegenError"]
+        [apply_span] = [sp for sp in spans if sp.name == "codegen.apply"]
+        assert scans[3].parent_id == apply_span.span_id
+
     def test_search_cache_stats_with_supplied_cache(self, clean_obs):
         from repro.core.legality_cache import LegalityCache
         nest = parse_nest(MATMUL)
