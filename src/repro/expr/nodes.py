@@ -20,8 +20,8 @@ constructors at the bottom of this module (:func:`add`, :func:`mul`,
 
 Each node's *linear normal form* (:func:`linear_parts`: atom such as
 ``n``, ``i*j`` or ``div(i, 2)`` -> integer coefficient, plus a constant,
-as :func:`add` collects them) is computed at most once and cached beside
-its hash.  ``min``/``max`` folding compares arguments by it, and every
+as :func:`add` collects them) is computed at most once and cached on
+sums and products.  ``min``/``max`` folding compares arguments by it, and every
 affine view in :mod:`repro.expr.linear` is a filter over it.
 """
 
@@ -40,7 +40,7 @@ _DISTRIBUTE_LIMIT = 64
 class Expr:
     """Base class of all expression nodes.  Immutable."""
 
-    __slots__ = ("_hash", "_free", "_form")
+    __slots__ = ("_hash", "_free")
 
     # Subclasses fill in _key() returning a hashable structural identity.
 
@@ -151,7 +151,7 @@ class Var(Expr):
 class Add(Expr):
     """A flattened n-ary sum.  Use :func:`add` to construct."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_form")
 
     def __init__(self, terms: Tuple[Expr, ...]):
         object.__setattr__(self, "terms", terms)
@@ -163,7 +163,7 @@ class Add(Expr):
 class Mul(Expr):
     """A flattened n-ary product.  Use :func:`mul` to construct."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_form")
 
     def __init__(self, factors: Tuple[Expr, ...]):
         object.__setattr__(self, "factors", factors)
@@ -310,7 +310,10 @@ def linear_parts(e: Expr) -> Tuple[Dict[Expr, int], int]:
     """*e* as ``sum(coeff * atom) + constant``: the distinct non-constant
     summands (atoms) of its :func:`add` normal form with their nonzero
     integer coefficients, in order, and the constant part.  Cached on
-    the node: callers share the map and must not mutate it."""
+    sums and products (other nodes are a constant or one atom): callers
+    share the map and must not mutate it."""
+    if not isinstance(e, (Add, Mul)):
+        return ({}, e.value) if isinstance(e, Const) else ({e: 1}, 0)
     form = getattr(e, "_form", None)
     if form is None:
         buckets, constant = _collect((e,))

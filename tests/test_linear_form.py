@@ -1,8 +1,9 @@
 """Property tests for the cached linear normal form of expressions.
 
 Every node's form (``linear_parts``) is an ordered atom -> coefficient
-map plus a constant, computed at most once; ``affine_form`` and the
-other affine views are filters over it.
+map plus a constant, computed at most once and cached on sums and
+products; ``affine_form`` and the other affine views are filters over
+it.
 """
 
 import pickle
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 import repro.expr.nodes as nodes
 from repro.expr.linear import affine_form
 from repro.expr.nodes import (
+    Add,
+    Mul,
     Var,
     add,
     call,
@@ -100,8 +103,12 @@ def test_form_is_computed_once_and_cached(e):
         affine_form(e, ("i",))
     finally:
         nodes._collect = real
-    assert again is first
     assert len(calls) <= 1
+    if isinstance(e, (Add, Mul)):
+        assert again is first
+    else:
+        # A leaf or opaque atom is its own form: nothing to split or keep.
+        assert not calls and again == first
 
 
 @given(exprs)
