@@ -488,9 +488,9 @@ def _fold_minmax(args, op: Callable[[int, int], int], cls):
     # sub(x, y) = add(x, neg(y)) folds exactly when x's atoms cancel
     # those of neg(y), whose form is y's own negated, so arguments are
     # grouped by atoms instead of compared pairwise.  Each group keeps
-    # its two strongest rivals, ranked (sign * const, -index).  neg()
-    # renormalizes a product over sums, and leaves a sum too long to
-    # distribute over as one atom: such a y is no rival.
+    # its two strongest rivals, ranked (sign * const, -index).  As in
+    # neg(), a product over sums competes as its expansion, and a sum too
+    # long to distribute over is a single atom there, so it is no rival.
     sign = 1 if cls is Max else -1
     ranked = []
     rivals: Dict[frozenset, list] = {}
