@@ -1,13 +1,13 @@
 """Perf-6 — execution substrates: reference interpreter vs compiled
 Python kernels.
 
-The interpreter is the semantic oracle; the fast paths are the bare
-kernel emitter (:func:`repro.ir.emit.compile_nest`) and the
+The interpreter is the semantic oracle; the fast paths are the
 trace-faithful engine (:class:`repro.runtime.CompiledNest`, which also
-reproduces the oracle's address traces and schedule hook).  This bench
-measures all of them on the matmul nest (original and tiled) and
-asserts the expected shape: compiled is an order of magnitude faster,
-and everything agrees bit-for-bit.
+reproduces the oracle's address traces and schedule hook) and the
+standalone module :func:`repro.runtime.emit_python` prints from the
+same code.  This bench measures all of them on the matmul nest
+(original and tiled) and asserts the expected shape: compiled is an
+order of magnitude faster, and everything agrees bit-for-bit.
 """
 
 import random
@@ -18,12 +18,19 @@ import pytest
 
 from repro.core import Block, Transformation
 from repro.deps import depset
-from repro.ir.emit import compile_nest, emit_c
-from repro.runtime import CompiledNest, Interpreter, run_nest
+from repro.ir.emit import emit_c
+from repro.runtime import CompiledNest, Interpreter, emit_python, run_nest
 
 from benchmarks.conftest import random_square
 
 N = 14
+
+
+def _module_kernel(nest):
+    """The ``kernel`` entry of the nest's emitted Python module."""
+    namespace = {}
+    exec(compile(emit_python(nest), "<kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _best_of(fn, repeats=3):
@@ -52,7 +59,7 @@ def test_interpreter_matmul(report, benchmark, matmul_inputs):
 
 def test_compiled_matmul(report, benchmark, matmul_inputs):
     nest, B, C = matmul_inputs
-    fn = compile_nest(nest, ["A", "B", "C"])
+    fn = _module_kernel(nest)
 
     def run():
         arrays = {"A": defaultdict(int),
@@ -72,7 +79,7 @@ def test_compiled_tiled_matmul(report, benchmark, matmul_inputs):
     nest, B, C = matmul_inputs
     tiled = Transformation.of(Block(3, 1, 3, [4, 4, 4])).apply(
         nest, depset((0, 0, "+")))
-    fn = compile_nest(tiled, ["A", "B", "C"])
+    fn = _module_kernel(tiled)
 
     def run():
         arrays = {"A": defaultdict(int),
@@ -150,7 +157,8 @@ def test_smoke_compiled_engine_speedup(report, smoke_summary, matmul_inputs):
 
 
 def test_emitted_c_compiles_structurally(report, benchmark, matmul_inputs):
-    """No C compiler offline; check structure and time the emitter."""
+    """Check structure and time the emitter (tests/test_emit.py runs
+    gcc on the corpus outputs)."""
     nest, _, _ = matmul_inputs
     tiled = Transformation.of(Block(3, 1, 3, [4, 4, 4])).apply(
         nest, depset((0, 0, "+")))

@@ -114,18 +114,9 @@ from repro.core.spec import (  # noqa: F401  (re-exported)
 )
 from repro.deps.analysis import LEVELS, analyze
 from repro.ir import parse_nest
-from repro.ir.emit import emit_c, emit_python
+from repro.ir.emit import emit_c
+from repro.options import ENGINE_NAMES, MODEL_NAMES
 from repro.util.errors import ReproError
-
-#: Engine names accepted by ``--engine`` (mirrors
-#: ``repro.runtime.ENGINE_NAMES`` without importing the runtime package
-#: at CLI startup).
-ENGINE_CHOICES = ("interpreter", "compiled", "vectorized")
-
-#: Cost-model names accepted by ``--model`` (mirrors
-#: ``repro.optimize.model.MODEL_NAMES`` without importing the optimizer
-#: at CLI startup).
-MODEL_CHOICES = ("evidence", "static")
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +191,8 @@ def cmd_transform(args) -> int:
     if args.emit == "c":
         print(emit_c(out))
     elif args.emit == "python":
-        from repro.deps.analysis.references import inferred_array_names
-        print(emit_python(out, sorted(inferred_array_names(out))))
+        from repro.runtime.compiled import emit_python
+        print(emit_python(out), end="")
     elif args.emit == "pretty":
         from repro.ir.pretty_temps import pretty_with_temps
         print(pretty_with_temps(out))
@@ -421,19 +412,26 @@ def cmd_profile(args) -> int:
     return 0
 
 
+#: The ``serve`` options that build the service's defaults: argparse
+#: dest -> :class:`~repro.service.TransformationService` keyword.
+_SERVE_DEFAULTS = {"queue_max": "queue_max", "batch_max": "batch_max",
+                   "cache_max_entries": "cache_max_entries",
+                   "engine": "default_engine", "prune": "default_prune",
+                   "speculate": "default_speculate",
+                   "model": "default_model"}
+
+
 def _child_serve_options(args) -> list:
     """The serve options a ``--supervise`` child or a fleet worker
-    inherits from this command line."""
-    options = ["--queue-max", str(args.queue_max),
-               "--batch-max", str(args.batch_max),
-               "--cache-max-entries", str(args.cache_max_entries),
-               "--engine", args.engine]
-    if args.prune:
-        options += ["--prune"]
-    if args.speculate:
-        options += ["--speculate"]
-    if args.model:
-        options += ["--model", args.model]
+    inherits from this command line: the service defaults, as flags."""
+    options = []
+    for dest in _SERVE_DEFAULTS:
+        value = getattr(args, dest)
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            options.append(flag)
+        elif value is not None and value is not False:
+            options += [flag, str(value)]
     return options
 
 
@@ -549,18 +547,12 @@ def cmd_serve(args) -> int:
 
     service = TransformationService(
         jobs=args.jobs,
-        queue_max=args.queue_max,
-        batch_max=args.batch_max,
         request_timeout=args.request_timeout,
-        cache_max_entries=args.cache_max_entries,
         heartbeat_file=args.heartbeat_file,
         hang_grace=max(args.hang_timeout / 2.0, 0.2),
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        default_engine=args.engine,
-        default_prune=args.prune,
-        default_speculate=args.speculate,
-        default_model=args.model)
+        **{kw: getattr(args, dest) for dest, kw in _SERVE_DEFAULTS.items()})
     if args.tcp:
         serve_tcp(service, host=args.host, port=args.port)
     else:
@@ -794,9 +786,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admit model-favored candidates on the "
                             "cheap dependence verdict alone, deferring "
                             "exact legality to the beam frontier")
-        p.add_argument("--model", choices=MODEL_CHOICES, default=None,
+        p.add_argument("--model", choices=MODEL_NAMES, default=None,
                        help="cost model for --speculate (default: a "
                             "fresh static model per search)")
+
+    def add_engine(p, default, what):
+        p.add_argument("--engine", choices=ENGINE_NAMES, default=default,
+                       help=f"{what} (default {default}; vectorized "
+                            "needs NumPy)")
 
     def add_common(p):
         p.add_argument("file", help="loop nest file ('-' for stdin)")
@@ -848,10 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--size", type=int, default=12,
                        help="value bound to every symbolic invariant "
                             "(default 12)")
-    p_run.add_argument("--engine", choices=ENGINE_CHOICES,
-                       default="compiled",
-                       help="execution engine (default compiled; "
-                            "vectorized needs NumPy)")
+    add_engine(p_run, "compiled", "execution engine")
     p_run.set_defaults(func=cmd_run)
 
     p_se = sub.add_parser(
@@ -865,10 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="parallelism",
                       help="candidate score: static parallelism "
                            "(default) or measured wall clock")
-    p_se.add_argument("--engine", choices=ENGINE_CHOICES,
-                      default="vectorized",
-                      help="engine timed by --scorer time "
-                           "(default vectorized)")
+    add_engine(p_se, "vectorized", "engine timed by --scorer time")
     p_se.add_argument("--size", type=int, default=12,
                       help="value bound to every symbolic invariant "
                            "for --scorer time (default 12)")
@@ -891,12 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--size", type=int, default=12,
                         help="value bound to every symbolic invariant "
                              "for the execution phases (default 12)")
-    p_prof.add_argument("--engine", choices=ENGINE_CHOICES,
-                        default="compiled",
-                        help="engine timed for the run section "
-                             "(default compiled; the address trace for "
-                             "the cache simulation always comes from "
-                             "the compiled engine)")
+    add_engine(p_prof, "compiled", "engine timed for the run section; "
+               "the cache simulation always traces the compiled engine")
     add_model_guided(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
@@ -926,10 +913,8 @@ def build_parser() -> argparse.ArgumentParser:
                        type=float, default=None, metavar="SECONDS",
                        help="per-request wall-clock budget; overruns get "
                             "a typed timeout error")
-    p_srv.add_argument("--engine", choices=ENGINE_CHOICES,
-                       default="compiled",
-                       help="default engine for run requests that do "
-                            "not name one (default compiled)")
+    add_engine(p_srv, "compiled",
+               "default engine for run requests that do not name one")
     p_srv.add_argument("--cache-max-entries", dest="cache_max_entries",
                        type=int, default=4096, metavar="N",
                        help="bound on the warm legality cache (LRU "

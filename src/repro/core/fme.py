@@ -230,6 +230,7 @@ def scan_bounds(rows: Sequence[LinConstraint], names: Sequence[str],
     # and is rejected.  (FM-*generated* variable-free rows are different
     # — their emptiness is reflected in some variable's max-lower/
     # min-upper pair — and are dropped by _tighten.)
+    empty = ([(Const(0), Const(-1))] + [(Const(0), Const(0))] * (n - 1))[:n]
     for row in rows:
         if any(v in row.coeffs for v in names):
             continue
@@ -238,8 +239,7 @@ def scan_bounds(rows: Sequence[LinConstraint], names: Sequence[str],
                 f"variable-free symbolic constraint {_expr(row, atoms)}"
                 " >= 0 cannot be expressed as a loop bound")
         if row.const < 0:
-            empty = [(Const(0), Const(-1))] + [(Const(0), Const(0))] * (n - 1)
-            return empty[:n]
+            return empty
     cap = _guards.limits().max_fme_constraints
     current = _tighten(rows, names)
     for level in range(n - 1, -1, -1):
@@ -247,6 +247,12 @@ def scan_bounds(rows: Sequence[LinConstraint], names: Sequence[str],
             current = remove_redundant(current)
         lowers, uppers = _bound_exprs(current, names[level], atoms)
         if not lowers or not uppers:
+            # An empty polyhedron can lose a variable's bounds on the
+            # way here: pruning an infeasible system strips rows (each
+            # is "implied"), and _tighten drops the constant falsehood
+            # elimination derives.  It scans as an empty nest.
+            if not LinearSystem(rows).is_feasible():
+                return empty
             raise CodegenError(
                 f"variable {names[level]} is unbounded "
                 f"{'below' if not lowers else 'above'}; the input nest's "

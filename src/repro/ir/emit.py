@@ -1,23 +1,17 @@
-"""Source emitters: turn a loop nest into C or Python source.
+"""C source emitter: turn a loop nest into readable C99.
 
 The framework's output is a transformed :class:`LoopNest`; downstream
-users usually want real code.  Two emitters are provided:
-
-* :func:`emit_c` — readable C99 with ``for`` loops (``pardo`` becomes an
-  ``#pragma omp parallel for``), arrays as macro-indexed flat buffers;
-* :func:`emit_python` / :func:`compile_nest` — a Python function whose
-  loops mirror the nest; ``compile_nest`` ``exec``s it and returns a
-  callable.  This is the fast execution path (~50-100x the reference
-  interpreter) used by the interpreter-vs-compiled benchmark, and its
-  results are cross-checked against the interpreter in the tests.
-
-Both emitters take the nest exactly as the framework produced it: loop
-headers, init statements, unchanged body.
+users usually want real code.  :func:`emit_c` writes ``for`` loops
+(``pardo`` becomes an ``#pragma omp parallel for``) over arrays left as
+upper-case macros, from the nest exactly as the framework produced it:
+loop headers, init statements, unchanged body.  The Python counterpart
+is :func:`repro.runtime.compiled.emit_python`, the code the compiled
+engine runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import List, Set
 
 from repro.expr.nodes import (
     Add,
@@ -36,7 +30,6 @@ from repro.ir.loopnest import (
     Assign,
     If,
     InitStmt,
-    Loop,
     LoopNest,
     PARDO,
     Statement,
@@ -45,10 +38,6 @@ from repro.util.errors import CodegenError
 
 _RELATIONAL = {"le": "<=", "ge": ">=", "lt": "<", "gt": ">", "eq": "=="}
 
-
-# ---------------------------------------------------------------------------
-# C emitter
-# ---------------------------------------------------------------------------
 
 def _c_expr(e: Expr) -> str:
     if isinstance(e, Const):
@@ -119,23 +108,32 @@ def emit_c(nest: LoopNest, func_name: str = "kernel") -> str:
     """Emit a C function scanning the nest.
 
     Array accesses are left as upper-case macros (``A(i, j)``) so the
-    caller binds storage; loop indices and init variables are declared
-    ``long``.  ``pardo`` loops get an OpenMP pragma.
+    caller binds storage; loop indices and scalar (init) variables are
+    declared ``long`` at function scope.  ``pardo`` loops get an OpenMP
+    pragma whose ``private`` clause names the indices of the loops inside
+    it and every scalar, so no thread writes a variable another reads.
     """
-    names: Set[str] = set(nest.indices)
-    names.update(init.var for init in nest.inits)
+    scalars: Set[str] = {init.var for init in nest.inits}
+    for stmt in nest.body:
+        while isinstance(stmt, If):
+            stmt = stmt.then
+        if isinstance(stmt, InitStmt):
+            scalars.add(stmt.var)
     invariants = sorted(nest.invariants())
 
     lines = [_C_PRELUDE]
     params = ", ".join(f"long {v}" for v in invariants) or "void"
     lines.append(f"void {func_name}({params})")
     lines.append("{")
-    decls = ", ".join(sorted(names))
+    decls = ", ".join(sorted(scalars.union(nest.indices)))
     lines.append(f"    long {decls};")
     indent = "    "
-    for lp in nest.loops:
+    for level, lp in enumerate(nest.loops):
         if lp.kind == PARDO:
-            lines.append(f"{indent}#pragma omp parallel for")
+            private = ", ".join(sorted(scalars.union(
+                nest.indices[level + 1:])))
+            clause = f" private({private})" if private else ""
+            lines.append(f"{indent}#pragma omp parallel for{clause}")
         step = _c_expr(lp.step)
         cmp = (f"{lp.index} <= ({_c_expr(lp.upper)})"
                if not (isinstance(lp.step, Const) and lp.step.value < 0)
@@ -154,145 +152,3 @@ def emit_c(nest: LoopNest, func_name: str = "kernel") -> str:
         lines.append(indent + "}")
     lines.append("}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Python emitter / compiler
-# ---------------------------------------------------------------------------
-
-def _py_expr(e: Expr, arrays: Set[str]) -> str:
-    if isinstance(e, Const):
-        return str(e.value) if e.value >= 0 else f"({e.value})"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        return "(" + " + ".join(_py_expr(t, arrays) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + " * ".join(_py_expr(f, arrays) for f in e.factors) + ")"
-    if isinstance(e, FloorDiv):
-        return f"(({_py_expr(e.num, arrays)}) // ({_py_expr(e.den, arrays)}))"
-    if isinstance(e, CeilDiv):
-        return f"(-((-({_py_expr(e.num, arrays)})) // ({_py_expr(e.den, arrays)})))"
-    if isinstance(e, Mod):
-        return f"(({_py_expr(e.num, arrays)}) % ({_py_expr(e.den, arrays)}))"
-    if isinstance(e, Min):
-        return "min(" + ", ".join(_py_expr(a, arrays) for a in e.args) + ")"
-    if isinstance(e, Max):
-        return "max(" + ", ".join(_py_expr(a, arrays) for a in e.args) + ")"
-    if isinstance(e, Call):
-        args = ", ".join(_py_expr(a, arrays) for a in e.args)
-        if e.func in arrays:
-            return f"_arr_{e.func}[({args},)]"
-        if e.func in _RELATIONAL and len(e.args) == 2:
-            a, b = (_py_expr(x, arrays) for x in e.args)
-            return f"(1 if {a} {_RELATIONAL[e.func]} {b} else 0)"
-        if e.func == "abs":
-            return f"abs({args})"
-        if e.func == "sgn":
-            return f"(0 if ({args}) == 0 else (1 if ({args}) > 0 else -1))"
-        return f"_fn_{e.func}({args})"
-    raise CodegenError(f"cannot emit Python for {e!r}")
-
-
-def _py_stmt(stmt: Statement, arrays: Set[str], indent: str) -> List[str]:
-    if isinstance(stmt, Assign):
-        subs = ", ".join(_py_expr(s, arrays) for s in stmt.target.subscripts)
-        lhs = f"_arr_{stmt.target.name}[({subs},)]"
-        op = "+=" if stmt.accumulate else "="
-        return [f"{indent}{lhs} {op} {_py_expr(stmt.expr, arrays)}"]
-    if isinstance(stmt, If):
-        lines = [f"{indent}if {_py_expr(stmt.cond, arrays)} != 0:"]
-        lines.extend(_py_stmt(stmt.then, arrays, indent + "    "))
-        return lines
-    if isinstance(stmt, InitStmt):
-        return [f"{indent}{stmt.var} = {_py_expr(stmt.expr, arrays)}"]
-    raise CodegenError(f"cannot emit Python for statement {stmt!r}")
-
-
-def emit_python(nest: LoopNest, arrays: Sequence[str],
-                func_name: str = "kernel") -> str:
-    """Emit Python source for the nest.
-
-    *arrays* names the identifiers treated as arrays (dict-like,
-    indexed by tuples; ``collections.defaultdict(int)`` works).  The
-    generated function signature is
-    ``kernel(arrays: dict, symbols: dict, funcs: dict = None)``.
-    ``pardo`` loops run forward (one legal schedule).
-    """
-    array_set = set(arrays)
-    invariants = sorted(nest.invariants() - array_set)
-
-    lines = [f"def {func_name}(arrays, symbols, funcs=None):"]
-    for name in sorted(array_set):
-        lines.append(f"    _arr_{name} = arrays[{name!r}]")
-    for name in invariants:
-        lines.append(f"    {name} = symbols[{name!r}]")
-    # Opaque functions used by bounds/body.
-    called = _called_functions(nest, array_set)
-    for fn in sorted(called):
-        lines.append(f"    _fn_{fn} = funcs[{fn!r}]")
-    indent = "    "
-    for lp in nest.loops:
-        lo = _py_expr(lp.lower, array_set)
-        hi = _py_expr(lp.upper, array_set)
-        step = _py_expr(lp.step, array_set)
-        lines.append(
-            f"{indent}for {lp.index} in range({lo}, {hi} + "
-            f"(1 if ({step}) > 0 else -1), {step}):")
-        indent += "    "
-    body_lines: List[str] = []
-    for init in nest.inits:
-        body_lines.extend(_py_stmt(init, array_set, indent))
-    for stmt in nest.body:
-        body_lines.extend(_py_stmt(stmt, array_set, indent))
-    if not body_lines:
-        body_lines = [f"{indent}pass"]
-    lines.extend(body_lines)
-    return "\n".join(lines) + "\n"
-
-
-def _called_functions(nest: LoopNest, arrays: Set[str]) -> Set[str]:
-    out: Set[str] = set()
-
-    def scan(e: Expr) -> None:
-        if isinstance(e, Call):
-            if (e.func not in arrays and e.func not in _RELATIONAL and
-                    e.func not in ("abs", "sgn")):
-                out.add(e.func)
-        from repro.expr.nodes import children
-        for c in children(e):
-            scan(c)
-
-    for lp in nest.loops:
-        for e in (lp.lower, lp.upper, lp.step):
-            scan(e)
-    for init in nest.inits:
-        scan(init.expr)
-
-    def visit(stmt: Statement) -> None:
-        if isinstance(stmt, Assign):
-            scan(stmt.expr)
-            for s in stmt.target.subscripts:
-                scan(s)
-        elif isinstance(stmt, If):
-            scan(stmt.cond)
-            visit(stmt.then)
-        elif isinstance(stmt, InitStmt):
-            scan(stmt.expr)
-
-    for stmt in nest.body:
-        visit(stmt)
-    return out
-
-
-def compile_nest(nest: LoopNest, arrays: Sequence[str],
-                 func_name: str = "kernel") -> Callable:
-    """Compile the nest to a Python callable via :func:`emit_python`.
-
-    Returns ``f(arrays, symbols, funcs=None)`` where *arrays* maps names
-    to mutable tuple-indexed mappings (mutated in place).
-    """
-    source = emit_python(nest, arrays, func_name)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, f"<repro:{func_name}>", "exec"), namespace)
-    return namespace[func_name]  # type: ignore[return-value]

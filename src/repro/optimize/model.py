@@ -27,10 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
-
-#: Model names accepted by the CLI ``--model`` flag and the service's
-#: ``params.model`` — mirror of the engine-name registry pattern.
-MODEL_NAMES = ("evidence", "static")
+from repro.options import MODEL_NAMES
 
 _REFUTATION_TIERS = ("gcd", "banerjee", "fm")
 

@@ -10,8 +10,9 @@ interchangeable on final arrays; the interpreter and compiled engine
 are additionally bit-for-bit on traces.
 """
 
+from repro.options import ENGINE_NAMES
 from repro.runtime.arrays import Array
-from repro.runtime.compiled import CompiledNest, compile_loopnest, run_compiled
+from repro.runtime.compiled import CompiledNest, emit_python, run_compiled
 from repro.runtime.interpreter import (
     ExecutionResult,
     Interpreter,
@@ -32,9 +33,6 @@ from repro.runtime.vectorized import (
     numpy_available,
     run_vectorized,
 )
-
-#: The names ``resolve_engine`` accepts, in oracle-to-fastest order.
-ENGINE_NAMES = ("interpreter", "compiled", "vectorized")
 
 
 def resolve_engine(name: str):
@@ -59,7 +57,7 @@ def resolve_engine(name: str):
 
 __all__ = [
     "Array", "ExecutionResult", "Interpreter", "Schedule", "run_nest",
-    "CompiledNest", "compile_loopnest", "run_compiled",
+    "CompiledNest", "emit_python", "run_compiled",
     "VectorizedNest", "VectorizedNestCache", "numpy_available",
     "run_vectorized", "ENGINE_NAMES", "resolve_engine",
     "OracleFailure", "check_dependence_order", "check_equivalence",

@@ -32,12 +32,15 @@ identical, float data included.
 
 The interpreter stays the oracle; :class:`CompiledNest` is what the
 optimizer's scoring loops and the cache simulator feed on.
+:func:`emit_python` prints the same untraced code as a standalone module
+(``repro transform --emit python``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.expr.nodes import (
     Add,
@@ -61,20 +64,23 @@ from repro.resilience import guards as _guards
 from repro.runtime.arrays import Array
 from repro.runtime.interpreter import ExecutionResult, Schedule
 from repro.util.errors import CodegenError, ReproError
-from repro.util.intmath import sign
 
 _RELATIONAL = {"le": "<=", "ge": ">=", "lt": "<", "gt": ">", "eq": "=="}
 
+#: The helpers generated code calls, as source, so the compiled engine and
+#: the emitted module share one definition.  Like the interpreter,
+#: ``abs``/``sgn`` use their first argument; the others are evaluated
+#: and ignored.
+_HELPERS = """\
+def _sgn(x, *_):
+    return 1 if x > 0 else (-1 if x < 0 else 0)
 
-def _sgn_once(*xs: int) -> int:
-    """Single-evaluation ``sgn``; like the interpreter, extra args are
-    evaluated but ignored."""
-    return sign(xs[0])
 
-
-def _fst(*xs: int) -> int:
-    """First argument (interpreter's ``abs``/``sgn`` arity behaviour)."""
-    return xs[0]
+def _fst(x, *_):
+    return x
+"""
+_HELPER_NS: Dict[str, object] = {}
+exec(_HELPERS, _HELPER_NS)
 
 
 def _is_builtin_call(func: str, arity: int) -> bool:
@@ -220,7 +226,7 @@ class _Emitter:
         access can observe the element while its running sum lives in a
         local.
         """
-        called = {f for f, _ in _calls(self.nest)}
+        called = {f for f, _ in _walk(self.nest)[1]}
         targets = [s.target.name for s in flat if isinstance(s, Assign)]
         return [k for k, s in enumerate(self.nest.body)
                 if isinstance(s, Assign) and s.accumulate
@@ -397,21 +403,21 @@ class _Emitter:
             self.emit("    raise _ReproError('interpreter exceeded %d "
                       "iterations' % _max_iterations)", 0)
             self.body(0)
-        if _obs.enabled():
-            metrics = get_metrics()
-            metrics.counter("compiled.hoisted_exprs").inc(len(self._hoisted))
-            metrics.counter("compiled.scalar_replaced").inc(len(self._acc))
         self.emit("return _count", 0)
         return "\n".join(self.lines) + "\n"
 
 
-def _free_var_names(nest: LoopNest) -> Set[str]:
-    """Every plain-variable name the nest evaluates (Var nodes only)."""
-    out: Set[str] = set()
+def _walk(nest: LoopNest) -> Tuple[Set[str], Set[Tuple[str, int]]]:
+    """Every plain-variable name and every ``(callee, arity)`` pair the
+    nest evaluates, in one walk over bounds, inits and body."""
+    names: Set[str] = set()
+    calls: Set[Tuple[str, int]] = set()
 
     def scan(e: Expr) -> None:
         if isinstance(e, Var):
-            out.add(e.name)
+            names.add(e.name)
+        elif isinstance(e, Call):
+            calls.add((e.func, len(e.args)))
         for c in children(e):
             scan(c)
 
@@ -433,38 +439,20 @@ def _free_var_names(nest: LoopNest) -> Set[str]:
         scan(init.expr)
     for s in nest.body:
         visit(s)
-    return out
+    return names, calls
 
 
-def _calls(nest: LoopNest) -> Set[Tuple[str, int]]:
-    """Every ``(callee, arity)`` pair anywhere in the nest."""
-    out: Set[Tuple[str, int]] = set()
+def _array_names(nest: LoopNest, calls: Set[Tuple[str, int]],
+                 funcs: Iterable[str]) -> Set[str]:
+    """The interpreter's rule: the names the nest writes, plus every
+    callee that is neither builtin nor named as a function (a read of a
+    never-written array)."""
+    from repro.deps.analysis.references import inferred_array_names
 
-    def scan(e: Expr) -> None:
-        if isinstance(e, Call):
-            out.add((e.func, len(e.args)))
-        for c in children(e):
-            scan(c)
-
-    def visit(s: Statement) -> None:
-        if isinstance(s, Assign):
-            scan(s.expr)
-            for sub in s.target.subscripts:
-                scan(sub)
-        elif isinstance(s, If):
-            scan(s.cond)
-            visit(s.then)
-        elif isinstance(s, InitStmt):
-            scan(s.expr)
-
-    for lp in nest.loops:
-        for e in (lp.lower, lp.upper, lp.step):
-            scan(e)
-    for init in nest.inits:
-        scan(init.expr)
-    for s in nest.body:
-        visit(s)
-    return out
+    funcs = set(funcs)
+    return inferred_array_names(nest) | {
+        f for f, k in calls
+        if f not in funcs and not _is_builtin_call(f, k)}
 
 
 class CompiledNest:
@@ -486,8 +474,6 @@ class CompiledNest:
                  trace_vars: Optional[Sequence[str]] = None,
                  trace_addresses: bool = False,
                  max_iterations: Optional[int] = None):
-        from repro.deps.analysis.references import inferred_array_names
-
         _chaos.inject("compiled.codegen")
         if max_iterations is None:
             max_iterations = _guards.limits().max_iterations
@@ -498,13 +484,8 @@ class CompiledNest:
         self.trace_vars = tuple(trace_vars) if trace_vars is not None else None
         self.trace_addresses = trace_addresses
         self.max_iterations = max_iterations
-        self._calls = _calls(nest)
-        # Interpreter default: a callee that is neither builtin nor a
-        # registered function reads a never-written array.
-        self._base_arrays = (inferred_array_names(nest) |
-                             {f for f, k in self._calls
-                              if f not in self.funcs
-                              and not _is_builtin_call(f, k)})
+        self._names, self._calls = _walk(nest)
+        self._base_arrays = _array_names(nest, self._calls, self.funcs)
         self._variants: Dict[frozenset, Tuple[str, Callable]] = {}
 
     # -- compilation -------------------------------------------------------
@@ -524,8 +505,7 @@ class CompiledNest:
         # anything else stays unbound so a use raises NameError at the
         # same point in execution as the interpreter (a name referenced
         # only inside a zero-trip loop never raises).
-        symbols = sorted(n for n in _free_var_names(self.nest)
-                         if n in self.symbols)
+        symbols = sorted(n for n in self._names if n in self.symbols)
         tv = self.trace_vars
         if tv is not None and not tv:
             tv = tuple(self.nest.indices)
@@ -534,11 +514,12 @@ class CompiledNest:
         with _obs.span("compiled.codegen", depth=self.nest.depth,
                        arrays=len(arrays)):
             source = emitter.source(symbols)
-        namespace: Dict[str, object] = {
-            "_ReproError": ReproError,
-            "_sgn": _sgn_once,
-            "_fst": _fst,
-        }
+        if _obs.enabled():
+            metrics = get_metrics()
+            metrics.counter("compiled.hoisted_exprs").inc(
+                len(emitter._hoisted))
+            metrics.counter("compiled.scalar_replaced").inc(len(emitter._acc))
+        namespace = dict(_HELPER_NS, _ReproError=ReproError)
         with _obs.span("compiled.exec_compile", lines=source.count("\n")):
             exec(compile(source, "<repro:compiled-nest>", "exec"), namespace)
         variant = (source, namespace["_kernel"])  # type: ignore[assignment]
@@ -589,9 +570,53 @@ class CompiledNest:
         return ExecutionResult(out, itrace, atrace, count)
 
 
-def compile_loopnest(nest: LoopNest, **kwargs) -> CompiledNest:
-    """Factory alias mirroring :func:`repro.ir.emit.compile_nest` naming."""
-    return CompiledNest(nest, **kwargs)
+_MODULE_HEAD = f'''\
+# Generated by repro: one loop nest as a standalone kernel.
+# Entry: kernel(arrays, symbols, funcs=None).
+
+
+class _ReproError(Exception):
+    pass
+
+
+{_HELPERS}
+
+def _in_order(values, level):
+    return values
+
+
+'''
+
+_MODULE_ENTRY = '''
+
+def kernel(arrays, symbols, funcs=None):
+    """Run the nest on *arrays* in place; return the body count."""
+    return _kernel(arrays, symbols, funcs or {}, _in_order, None, None,
+                   float("inf"))
+'''
+
+
+def emit_python(nest: LoopNest, funcs: Iterable[str] = ()) -> str:
+    """The nest as a standalone Python module, needing only the standard
+    library: the untraced kernel :class:`CompiledNest` runs, behind the
+    entry ``kernel(arrays, symbols, funcs=None)``.
+
+    *arrays* maps every array the nest names to a mutable tuple-indexed
+    mapping (``collections.defaultdict(int)``, a NumPy array), updated
+    in place; *symbols* binds the nest's free names.  *funcs* names the
+    callees that are functions, looked up in ``funcs`` at call time;
+    every other non-builtin callee is an array, as in the interpreter.
+    ``pardo`` loops run in order and there is no iteration cap.
+    """
+    names, calls = _walk(nest)
+    funcs = set(funcs)
+    arrays = _array_names(nest, calls, funcs)
+    assigned = set(nest.indices) | {i.var for i in nest.inits} | {
+        s.var for s in _Emitter._flat(nest.body) if isinstance(s, InitStmt)}
+    emitter = _Emitter(nest, arrays, {f for f, _ in calls if f in funcs
+                                      and f not in arrays}, None, False)
+    return (_MODULE_HEAD + emitter.source(sorted(names - assigned))
+            + _MODULE_ENTRY)
 
 
 def nest_fingerprint(nest: LoopNest) -> str:

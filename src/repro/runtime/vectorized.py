@@ -42,8 +42,8 @@ from repro.ir.loopnest import (Assign, If, InitStmt, Loop, LoopNest, PARDO,
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
 from repro.runtime.arrays import Array
-from repro.runtime.compiled import (CompiledNest, CompiledNestCache, _calls,
-                                    _is_builtin_call)
+from repro.runtime.compiled import (CompiledNest, CompiledNestCache,
+                                    _array_names, _is_builtin_call, _walk)
 from repro.runtime.interpreter import ExecutionResult, Schedule
 from repro.util.errors import ReproError
 from repro.util.intmath import sign
@@ -251,12 +251,8 @@ class _Planner:
 
     def _build(self) -> None:
         nest, plan = self.nest, self.plan
-        from repro.deps.analysis.references import inferred_array_names
-
-        calls = _calls(nest)
-        self.arrays = (inferred_array_names(nest) |
-                       {f for f, k in calls
-                        if f not in self.funcs and not _is_builtin_call(f, k)})
+        calls = _walk(nest)[1]
+        self.arrays = _array_names(nest, calls, self.funcs)
         plan.call_names = {f for f, _ in calls} - self.arrays
 
         if not any(isinstance(s, (Assign, If)) for s in nest.body):

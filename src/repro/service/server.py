@@ -80,10 +80,28 @@ from repro.service.protocol import (
     error_response,
     ok_response,
 )
-from repro.optimize.model import MODEL_NAMES
-from repro.runtime import ENGINE_NAMES
+from repro.options import ENGINE_NAMES, MODEL_NAMES
 from repro.service.state import WarmState
 from repro.util.errors import ReproError
+
+#: Request options that fall back to a service default: the check a
+#: request's value and the default both pass, and the error message
+#: (``{!r}`` is the rejected value).
+_OPTIONS = {
+    "engine": (lambda v: v in ENGINE_NAMES,
+               f"params.engine must be one of {', '.join(ENGINE_NAMES)}, "
+               "got {!r}"),
+    "candidate_timeout": (
+        lambda v: v is None or (isinstance(v, (int, float)) and v > 0),
+        "params.candidate_timeout must be a positive number"),
+    "prune": (lambda v: isinstance(v, bool),
+              "params.prune and params.speculate must be booleans"),
+    "speculate": (lambda v: isinstance(v, bool),
+                  "params.prune and params.speculate must be booleans"),
+    "model": (lambda v: v is None or v in MODEL_NAMES,
+              f"params.model must be one of {', '.join(MODEL_NAMES)}, "
+              "got {!r}"),
+}
 
 
 def _zero_score(transformation, nest, deps) -> float:
@@ -113,18 +131,15 @@ class TransformationService(AdmissionFront):
                  default_speculate: bool = False,
                  default_model: Optional[str] = None):
         super().__init__(queue_max)
-        if default_engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"default_engine must be one of {ENGINE_NAMES}, "
-                f"got {default_engine!r}")
-        if default_model is not None and default_model not in MODEL_NAMES:
-            raise ValueError(
-                f"default_model must be one of {MODEL_NAMES} or None, "
-                f"got {default_model!r}")
-        self.default_engine = default_engine
-        self.default_prune = bool(default_prune)
-        self.default_speculate = bool(default_speculate)
-        self.default_model = default_model
+        self.defaults = {"engine": default_engine, "candidate_timeout": None,
+                         "prune": default_prune,
+                         "speculate": default_speculate,
+                         "model": default_model}
+        for name in _OPTIONS:
+            try:
+                self._option({}, name)
+            except ProtocolError as exc:
+                raise ValueError(f"service default: {exc.message}") from None
         self.jobs = max(1, int(jobs))
         self.batch_max = max(1, int(batch_max))
         self.request_timeout = request_timeout
@@ -511,9 +526,8 @@ class TransformationService(AdmissionFront):
             from repro.ir.emit import emit_c
             code = emit_c(out)
         elif emit == "python":
-            from repro.deps.analysis.references import inferred_array_names
-            from repro.ir.emit import emit_python
-            code = emit_python(out, sorted(inferred_array_names(out)))
+            from repro.runtime.compiled import emit_python
+            code = emit_python(out)
         elif emit == "pretty":
             from repro.ir.pretty_temps import pretty_with_temps
             code = pretty_with_temps(out)
@@ -521,6 +535,15 @@ class TransformationService(AdmissionFront):
             code = out.pretty()
         return {"sequence": transformation.signature(),
                 "legal": legal, "emit": emit, "code": code}
+
+    def _option(self, params: dict, name: str):
+        """Request option *name*, else the service default; both pass
+        the same check."""
+        value = params.get(name, self.defaults[name])
+        check, message = _OPTIONS[name]
+        if not check(value):
+            raise ProtocolError(BAD_INPUT, message.format(value))
+        return value
 
     def _op_run(self, params: dict) -> dict:
         nest, level = self._nest_level(params)
@@ -542,12 +565,7 @@ class TransformationService(AdmissionFront):
                            for k, v in symbols.items())):
             raise ProtocolError(
                 BAD_INPUT, "params.symbols must map names to integers")
-        engine_name = params.get("engine", self.default_engine)
-        if engine_name not in ENGINE_NAMES:
-            raise ProtocolError(
-                BAD_INPUT,
-                f"params.engine must be one of "
-                f"{', '.join(ENGINE_NAMES)}, got {engine_name!r}")
+        engine_name = self._option(params, "engine")
         doc: dict = {"depth": nest.depth, "engine": engine_name}
         if engine_name == "interpreter":
             from repro.runtime.interpreter import Interpreter
@@ -593,25 +611,10 @@ class TransformationService(AdmissionFront):
             raise ProtocolError(
                 BAD_INPUT, "params.depth must be an int >= 0 and "
                 "params.beam an int >= 1")
-        candidate_timeout = params.get("candidate_timeout")
-        if candidate_timeout is not None and (
-                not isinstance(candidate_timeout, (int, float))
-                or candidate_timeout <= 0):
-            raise ProtocolError(
-                BAD_INPUT, "params.candidate_timeout must be a positive "
-                "number")
-        prune = params.get("prune", self.default_prune)
-        speculate = params.get("speculate", self.default_speculate)
-        if not isinstance(prune, bool) or not isinstance(speculate, bool):
-            raise ProtocolError(
-                BAD_INPUT,
-                "params.prune and params.speculate must be booleans")
-        model_name = params.get("model", self.default_model)
-        if model_name is not None and model_name not in MODEL_NAMES:
-            raise ProtocolError(
-                BAD_INPUT,
-                f"params.model must be one of "
-                f"{', '.join(MODEL_NAMES)}, got {model_name!r}")
+        candidate_timeout = self._option(params, "candidate_timeout")
+        prune = self._option(params, "prune")
+        speculate = self._option(params, "speculate")
+        model_name = self._option(params, "model")
         model = (self.state.cost_model(model_name)
                  if model_name is not None else None)
         if self.pool is not None:

@@ -15,6 +15,7 @@ Case format (tests/corpus/*.case)::
 """
 
 import random
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,13 @@ import pytest
 from repro.cli import parse_steps
 from repro.deps.analysis import analyze
 from repro.ir import parse_nest
-from repro.runtime import Array, check_equivalence, same_iteration_multiset
+from repro.runtime import (
+    Array,
+    check_equivalence,
+    emit_python,
+    run_nest,
+    same_iteration_multiset,
+)
 
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.case"))
 assert CORPUS, "corpus directory is empty"
@@ -53,16 +60,8 @@ def test_golden_output(path):
     assert out.pretty() == case["expect"]
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
-def test_corpus_semantics(path):
-    """Independent of the golden text: execute original vs transformed
-    with concrete sizes and random arrays."""
-    case = load_case(path)
-    nest = parse_nest(case["nest"])
-    deps = analyze(nest)
-    T = parse_steps(case["steps"], nest.depth)
-    out = T.apply(nest, deps)
-
+def _inputs(path, nest, out):
+    """Concrete symbols and random arrays to execute a case on."""
     symbols = {}
     for name in sorted(nest.invariants() | out.invariants()):
         symbols[name] = {"n": 7, "m": 5}.get(name, 3)
@@ -75,16 +74,29 @@ def test_corpus_semantics(path):
                 arr[(i, j)] = rng.randrange(50)
                 arr[(i,)] = rng.randrange(50)
         arrays[arr_name] = arr
+    return symbols, arrays
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+def test_corpus_semantics(path):
+    """Independent of the golden text: execute original vs transformed
+    with concrete sizes and random arrays."""
+    case = load_case(path)
+    nest = parse_nest(case["nest"])
+    deps = analyze(nest)
+    T = parse_steps(case["steps"], nest.depth)
+    out = T.apply(nest, deps)
+    symbols, arrays = _inputs(path, nest, out)
     check_equivalence(nest, out, arrays, symbols=symbols)
     same_iteration_multiset(nest, out, arrays, symbols=symbols)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
 def test_corpus_emitters(path):
-    """Every corpus output must emit structurally valid C and compilable
-    Python."""
-    from repro.deps.analysis.references import inferred_array_names
-    from repro.ir.emit import emit_c, emit_python
+    """Every corpus output emits structurally valid C, and a Python
+    module that, run with plain ``exec``, leaves the interpreter's
+    arrays."""
+    from repro.ir.emit import emit_c
 
     case = load_case(path)
     nest = parse_nest(case["nest"])
@@ -94,5 +106,15 @@ def test_corpus_emitters(path):
     c_src = emit_c(out)
     assert c_src.count("{") == c_src.count("}")
     assert c_src.count("for (") == out.depth
-    py_src = emit_python(out, sorted(inferred_array_names(out)))
-    compile(py_src, f"<{path.stem}>", "exec")
+
+    symbols, arrays = _inputs(path, nest, out)
+    expected = run_nest(out, arrays, symbols=symbols).arrays
+    namespace = {}
+    exec(compile(emit_python(out), f"<{path.stem}>", "exec"), namespace)
+    state = defaultdict(lambda: defaultdict(int))
+    state.update((name, defaultdict(int, arr.data))
+                 for name, arr in arrays.items())
+    namespace["kernel"](state, symbols)
+    for name in set(expected) | set(state):
+        got = Array(0, name, state[name])
+        assert got == expected.get(name, Array(0, name)), name

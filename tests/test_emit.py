@@ -1,6 +1,9 @@
-"""Tests for the C and Python emitters and the nest compiler."""
+"""Tests for the C emitter and the emitted Python module."""
 
 import random
+import re
+import shutil
+import subprocess
 from collections import defaultdict
 
 import pytest
@@ -10,9 +13,19 @@ from repro.core.derived import skew_and_interchange
 from repro.deps import depset
 from repro.deps.analysis import analyze
 from repro.ir import parse_nest
-from repro.ir.emit import compile_nest, emit_c, emit_python
-from repro.runtime import Array, run_nest
+from repro.ir.emit import emit_c
+from repro.runtime import Array, emit_python, run_nest
 from tests.conftest import random_array_2d
+from tests.test_corpus import CORPUS, load_case
+from repro.cli import parse_steps
+
+
+def corpus_output(path):
+    """The transformed nest a corpus case pins."""
+    case = load_case(path)
+    nest = parse_nest(case["nest"])
+    steps = parse_steps(case["steps"], nest.depth)
+    return steps.apply(nest, analyze(nest))
 
 
 class TestEmitC:
@@ -55,14 +68,65 @@ class TestEmitC:
         src = emit_c(nest)
         assert "if ((B(i) > 0))" in src
 
+    @pytest.mark.parametrize("stem", ["wavefront_parallel",
+                                      "stripmine_then_parallel"])
+    def test_pardo_privatizes_what_its_body_assigns(self, stem):
+        """Indices and init variables are declared at function scope, so
+        OpenMP shares them across threads unless the pragma names them
+        private: every variable assigned inside a ``pardo`` must be."""
+        lines = emit_c(corpus_output(
+            CORPUS[0].parent / f"{stem}.case")).splitlines()
+        pragmas = [k for k, line in enumerate(lines)
+                   if "#pragma omp parallel for" in line]
+        checked = set()
+        for k in pragmas:
+            clause = re.search(r"private\(([^)]*)\)", lines[k])
+            private = set(clause.group(1).split(", ")) if clause else set()
+            depth, end = 0, k + 2
+            while True:
+                depth += lines[end].count("{") - lines[end].count("}")
+                if depth == 0:
+                    break
+                end += 1
+            body = "\n".join(lines[k + 3:end])
+            assigned = set(re.findall(r"^\s*for \((\w+) =", body, re.M))
+            assigned |= set(re.findall(r"^\s*(\w+) = ", body, re.M))
+            assert assigned <= private, (lines[k], assigned)
+            checked |= assigned
+        assert checked
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is absent")
+@pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+def test_corpus_c_compiles(path):
+    """gcc accepts the C of every corpus output, OpenMP pragmas included,
+    with each array or function bound to a stub lvalue macro."""
+    src = emit_c(corpus_output(path))
+    names = (set(re.findall(r"\b([A-Z][A-Z0-9_]*)\(", src))
+             - set(re.findall(r"#define (\w+)\(", src)))
+    stubs = "long *repro_ref();\n" + "".join(
+        f"#define {name}(...) (*repro_ref(__VA_ARGS__))\n"
+        for name in sorted(names))
+    proc = subprocess.run(
+        ["gcc", "-std=c99", "-fopenmp", "-fsyntax-only", "-x", "c", "-"],
+        input=stubs + src, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
 
 def _dict_arrays(*names):
     return {name: defaultdict(int) for name in names}
 
 
+def compile_module(nest, funcs=()):
+    """``exec`` the :func:`emit_python` module; return its ``kernel``."""
+    namespace = {}
+    exec(compile(emit_python(nest, funcs), "<kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 class TestEmitPython:
     def test_source_compiles(self, matmul_nest):
-        src = emit_python(matmul_nest, ["A", "B", "C"])
+        src = emit_python(matmul_nest)
         compile(src, "<test>", "exec")
         assert "def kernel(arrays, symbols, funcs=None):" in src
 
@@ -74,7 +138,7 @@ class TestEmitPython:
         expected = run_nest(matmul_nest, {"B": B, "C": C},
                             symbols={"n": n}).arrays["A"]
 
-        fn = compile_nest(matmul_nest, ["A", "B", "C"])
+        fn = compile_module(matmul_nest)
         arrays = _dict_arrays("A")
         arrays["B"] = dict(B.data)
         arrays["C"] = dict(C.data)
@@ -94,7 +158,7 @@ class TestEmitPython:
         expected = run_nest(stencil_nest, {"a": a},
                             symbols={"n": n}).arrays["a"]
 
-        fn = compile_nest(out, ["a"])
+        fn = compile_module(out)
         arrays = {"a": defaultdict(int, a.data)}
         fn(arrays, {"n": n})
         for key, value in expected.data.items():
@@ -108,7 +172,7 @@ class TestEmitPython:
           enddo
         enddo
         """)
-        fn = compile_nest(nest, ["out"])
+        fn = compile_module(nest, funcs=["colstr"])
         arrays = _dict_arrays("out")
         colstr = [0, 1, 3, 4, 6]
         fn(arrays, {}, {"colstr": lambda x: colstr[x]})
@@ -116,14 +180,14 @@ class TestEmitPython:
 
     def test_negative_step(self):
         nest = parse_nest("do i = 9, 1, -3\n a(i) = i\nenddo")
-        fn = compile_nest(nest, ["a"])
+        fn = compile_module(nest)
         arrays = _dict_arrays("a")
         fn(arrays, {})
         assert sorted(arrays["a"]) == [(3,), (6,), (9,)]
 
     def test_if_and_relationals(self):
         nest = parse_nest("do i = 1, 6\n if (i % 2 == 0) a(i) = 1\nenddo")
-        fn = compile_nest(nest, ["a"])
+        fn = compile_module(nest)
         arrays = _dict_arrays("a")
         fn(arrays, {})
         assert set(arrays["a"]) == {(2,), (4,), (6,)}
@@ -139,7 +203,7 @@ class TestEmitPython:
         C = random_array_2d(rng, 1, n, "C")
         expected = run_nest(matmul_nest, {"B": B, "C": C},
                             symbols={"n": n}).arrays["A"]
-        fn = compile_nest(out, ["A", "B", "C"])
+        fn = compile_module(out)
         arrays = {"A": defaultdict(int),
                   "B": defaultdict(int, B.data),
                   "C": defaultdict(int, C.data)}
@@ -160,7 +224,7 @@ class TestEmitPython:
         run_nest(matmul_nest, {"B": B, "C": C}, symbols={"n": n})
         interp = time.perf_counter() - start
 
-        fn = compile_nest(matmul_nest, ["A", "B", "C"])
+        fn = compile_module(matmul_nest)
         arrays = {"A": defaultdict(int),
                   "B": defaultdict(int, B.data),
                   "C": defaultdict(int, C.data)}
@@ -172,7 +236,7 @@ class TestEmitPython:
 
 class TestNumpyInterop:
     def test_compiled_kernel_on_numpy_arrays(self):
-        """compile_nest works directly on numpy arrays (tuple indexing),
+        """The module works directly on numpy arrays (tuple indexing),
         using 0-based bounds."""
         import numpy as np
 
@@ -188,7 +252,7 @@ class TestNumpyInterop:
         a = rng.integers(0, 50, size=(n, n))
         b = rng.integers(0, 50, size=(n, n))
         c = np.zeros((n, n), dtype=a.dtype)
-        fn = compile_nest(nest, ["a", "b", "c"])
+        fn = compile_module(nest)
         fn({"a": a, "b": b, "c": c}, {"n": n})
         assert (c == a + b.T).all()
 
@@ -211,6 +275,6 @@ class TestNumpyInterop:
         A = rng.integers(0, 10, size=(n, n))
         B = rng.integers(0, 10, size=(n, n))
         C = np.zeros((n, n), dtype=A.dtype)
-        fn = compile_nest(out, ["A", "B", "C"])
+        fn = compile_module(out)
         fn({"A": A, "B": B, "C": C}, {"n": n})
         assert (C == A @ B).all()

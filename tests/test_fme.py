@@ -193,6 +193,26 @@ class TestScanBounds:
         (lo, hi), = scan_bounds(cs, ["x"], {})
         assert evaluate(lo, {}) > evaluate(hi, {})
 
+    @pytest.mark.parametrize("text, matrix", [
+        ("do i = 1, n\n do j = 0, -1\n do k = 0, j\n a(i, k) = 0\n"
+         " enddo\n enddo\nenddo", [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        # CaseGen(11) case 13: elimination derives -1 >= 0 midway.
+        ("do i = n - 1, 1, -1\n do j = -1, -2, -1\n do k = 0, j, 2\n"
+         " b(i + 2*k) = k\n enddo\n enddo\nenddo",
+         [[-1, 0, 1], [0, 1, 0], [-1, 0, 0]]),
+    ])
+    def test_empty_polyhedron_scans_as_zero_trip_nest(self, text, matrix):
+        """A polyhedron whose emptiness shows only during elimination
+        scans as a nest that runs no iteration, like its input."""
+        from repro.runtime import run_nest
+
+        nest = parse_nest(text)
+        out = Transformation.of(Unimodular(3, matrix)).apply(nest,
+                                                             check=False)
+        for n in (1, 5):
+            assert run_nest(nest, {}, symbols={"n": n}).body_count == 0
+            assert run_nest(out, {}, symbols={"n": n}).body_count == 0
+
     def test_variable_free_symbolic_row_rejected(self):
         atoms = {}
         cs = [LinConstraint({"x": 1}, 0), LinConstraint({"x": -1}, 3),

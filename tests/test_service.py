@@ -18,6 +18,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosPlan
 from repro.service import (
@@ -103,6 +105,37 @@ def test_typed_errors():
                      4: "bad-input", 5: "bad-input"}
     assert not any(r["ok"] for r in replies.values())
     assert "lexicographically negative" in replies[3]["error"]["message"]
+
+
+def test_option_errors_and_defaults_share_one_check():
+    """Each option falling back to a service default is checked once,
+    with the same message for a request's value and a default's."""
+    service = TransformationService()
+    replies = by_id(drive(service, [
+        {"id": 1, "op": "run", "params": {"text": STENCIL,
+                                          "engine": "nope"}},
+        {"id": 2, "op": "search", "params": {"text": STENCIL,
+                                             "candidate_timeout": 0}},
+        {"id": 3, "op": "search", "params": {"text": STENCIL,
+                                             "speculate": 1}},
+        {"id": 4, "op": "search", "params": {"text": STENCIL,
+                                             "model": "oracle"}},
+    ]))
+    assert {i: (r["error"]["code"], r["error"]["message"])
+            for i, r in replies.items()} == {
+        1: ("bad-input", "params.engine must be one of interpreter, "
+                         "compiled, vectorized, got 'nope'"),
+        2: ("bad-input", "params.candidate_timeout must be a positive "
+                         "number"),
+        3: ("bad-input", "params.prune and params.speculate must be "
+                         "booleans"),
+        4: ("bad-input", "params.model must be one of evidence, static, "
+                         "got 'oracle'"),
+    }
+    with pytest.raises(ValueError, match="params.engine must be one of"):
+        TransformationService(default_engine="nope")
+    with pytest.raises(ValueError, match="params.prune and"):
+        TransformationService(default_prune="yes")
 
 
 def test_malformed_envelopes():
