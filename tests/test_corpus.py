@@ -65,7 +65,7 @@ def _inputs(path, nest, out):
     symbols = {}
     for name in sorted(nest.invariants() | out.invariants()):
         symbols[name] = {"n": 7, "m": 5}.get(name, 3)
-    rng = random.Random(hash(path.stem) & 0xFFFF)
+    rng = random.Random(path.stem)
     arrays = {}
     for arr_name in ("a", "b", "A", "B", "C"):
         arr = Array(0, arr_name)
