@@ -9,50 +9,27 @@ in the order the paper prescribes (``INIT_k, ..., INIT_1``).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from repro.expr.nodes import Call, Expr, children, free_vars
-from repro.ir.loopnest import Assign, If, InitStmt, LoopNest, Statement
-
-
-def _call_names(e: Expr, out: Set[str]) -> None:
-    if isinstance(e, Call):
-        out.add(e.func)
-    for c in children(e):
-        _call_names(c, out)
+from repro.expr.nodes import Call, free_vars, subexpressions
+from repro.ir.loopnest import Assign, InitStmt, LoopNest
 
 
 def collect_taken(nest: LoopNest) -> Set[str]:
-    """Every identifier in use in *nest*: loop indices, bound invariants,
-    array/function names and body variables.  Fresh names generated during
-    code generation must avoid all of them."""
-    taken: Set[str] = set(nest.indices)
-    taken |= nest.invariants()
-    for lp in nest.loops:
-        for e in (lp.lower, lp.upper, lp.step):
-            _call_names(e, taken)
-
-    def visit(stmt: Statement) -> None:
+    """Every identifier in use in *nest*: loop indices, the variables and
+    callees of every expression it evaluates, and the arrays and scalars
+    it assigns.  Fresh names generated during code generation must avoid
+    all of them."""
+    taken = set(nest.indices)
+    for _, stmt in nest.statements():
         if isinstance(stmt, Assign):
             taken.add(stmt.target.name)
-            for s in stmt.target.subscripts:
-                taken.update(free_vars(s))
-                _call_names(s, taken)
-            taken.update(free_vars(stmt.expr))
-            _call_names(stmt.expr, taken)
-        elif isinstance(stmt, If):
-            taken.update(free_vars(stmt.cond))
-            _call_names(stmt.cond, taken)
-            visit(stmt.then)
         elif isinstance(stmt, InitStmt):
             taken.add(stmt.var)
-            taken.update(free_vars(stmt.expr))
-            _call_names(stmt.expr, taken)
-
-    for stmt in nest.body:
-        visit(stmt)
-    for init in nest.inits:
-        visit(init)
+    for e in nest.expressions():
+        taken |= free_vars(e)
+        taken.update(c.func for c in subexpressions(e)
+                     if isinstance(c, Call))
     return taken
 
 

@@ -4,16 +4,13 @@ from repro.deps.analysis.driver import DependenceAnalyzer, analyze, LEVELS
 from repro.deps.analysis.linear_system import LinConstraint, LinearSystem
 from repro.deps.analysis.references import (
     ArrayAccess,
-    collect_accesses,
     dependence_candidate_pairs,
-    inferred_array_names,
 )
 from repro.deps.analysis.tests import Equality, banerjee_test, gcd_test
 
 __all__ = [
     "DependenceAnalyzer", "analyze", "LEVELS",
     "LinConstraint", "LinearSystem",
-    "ArrayAccess", "collect_accesses", "dependence_candidate_pairs",
-    "inferred_array_names",
+    "ArrayAccess", "dependence_candidate_pairs",
     "Equality", "banerjee_test", "gcd_test",
 ]

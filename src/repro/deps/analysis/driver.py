@@ -74,7 +74,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.deps.analysis.linear_system import LinConstraint, LinearSystem
 from repro.deps.analysis.references import (
     ArrayAccess,
-    collect_accesses,
     dependence_candidate_pairs,
 )
 from repro.deps.analysis.tests import (
@@ -230,7 +229,7 @@ class DependenceAnalyzer:
             raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
         self.nest = nest
         self.level = level
-        self.arrays = set(arrays) if arrays else None
+        self.arrays = set(arrays or ())
         self.n = nest.depth
         self._prepare()
 
@@ -510,7 +509,8 @@ class DependenceAnalyzer:
         equalities constrained the pair, whether the conservative
         lex-positive cover had to be used, and the resulting vectors."""
         with _obs.span("deps.analyze", level=self.level, depth=self.n):
-            accesses = collect_accesses(self.nest, self.arrays)
+            accesses = self.nest.accesses(
+                self.nest.array_names() | self.arrays)
             reports: List[PairReport] = []
             # Pair problems solved in this call, by base-row key set
             # (see the module docstring for why reuse is exact).

@@ -1,97 +1,19 @@
-"""Array reference collection for dependence analysis.
+"""Candidate access pairs for dependence analysis.
 
-Finds every array read and write in a loop-nest body.  Writes are the
-targets of :class:`~repro.ir.loopnest.Assign`; reads are ``Call`` nodes
-whose callee is a known array name.  By default the array-name set is
-inferred as "every assigned name" plus any caller-supplied names; a
-``Call`` to an unknown name is treated as a pure function (it creates no
-dependence itself, but its arguments are still scanned, and subscripts
-containing such calls are simply non-affine to the analyzer).
-
-An accumulating assignment (``A(i,j) += e``) is both a read and a write
-of its target.
+The accesses themselves come from the one walk over a nest,
+:meth:`~repro.ir.loopnest.LoopNest.accesses`: every reference to a
+name the interpreter treats as an array, in evaluation order.  Writes
+are the targets of :class:`~repro.ir.loopnest.Assign`, and an
+accumulating assignment (``A(i,j) += e``) is both a read and a write of
+its target.  A read of an array the nest never writes pairs with
+nothing, so it creates no dependence.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Sequence
 
-from repro.expr.nodes import Call, Expr, children
-from repro.ir.loopnest import Assign, If, InitStmt, LoopNest, Statement
-
-
-class ArrayAccess:
-    """One textual array reference."""
-
-    __slots__ = ("array", "subscripts", "is_write", "stmt_index")
-
-    def __init__(self, array: str, subscripts: Tuple[Expr, ...],
-                 is_write: bool, stmt_index: int):
-        self.array = array
-        self.subscripts = subscripts
-        self.is_write = is_write
-        self.stmt_index = stmt_index
-
-    def __repr__(self):
-        kind = "W" if self.is_write else "R"
-        subs = ", ".join(str(s) for s in self.subscripts)
-        return f"{kind}:{self.array}({subs})@stmt{self.stmt_index}"
-
-
-def inferred_array_names(nest: LoopNest) -> Set[str]:
-    """Names assigned anywhere in the body (the minimal safe array set)."""
-    names: Set[str] = set()
-
-    def visit(stmt: Statement) -> None:
-        if isinstance(stmt, Assign):
-            names.add(stmt.target.name)
-        elif isinstance(stmt, If):
-            visit(stmt.then)
-
-    for stmt in nest.body:
-        visit(stmt)
-    return names
-
-
-def collect_accesses(nest: LoopNest,
-                     arrays: Optional[Iterable[str]] = None
-                     ) -> List[ArrayAccess]:
-    """All array accesses in body order.
-
-    *arrays* extends the inferred array-name set (useful when a read-only
-    array is referenced but never written — it creates no dependences,
-    but callers may want it traced)."""
-    known = inferred_array_names(nest)
-    if arrays is not None:
-        known |= set(arrays)
-    out: List[ArrayAccess] = []
-
-    def scan_expr(e: Expr, stmt_index: int) -> None:
-        if isinstance(e, Call) and e.func in known:
-            out.append(ArrayAccess(e.func, e.args, False, stmt_index))
-        for c in children(e):
-            scan_expr(c, stmt_index)
-
-    def visit(stmt: Statement, stmt_index: int) -> None:
-        if isinstance(stmt, Assign):
-            if stmt.accumulate:
-                out.append(ArrayAccess(stmt.target.name,
-                                       stmt.target.subscripts, False,
-                                       stmt_index))
-            scan_expr(stmt.expr, stmt_index)
-            for s in stmt.target.subscripts:
-                scan_expr(s, stmt_index)
-            out.append(ArrayAccess(stmt.target.name, stmt.target.subscripts,
-                                   True, stmt_index))
-        elif isinstance(stmt, If):
-            scan_expr(stmt.cond, stmt_index)
-            visit(stmt.then, stmt_index)
-        elif isinstance(stmt, InitStmt):
-            scan_expr(stmt.expr, stmt_index)
-
-    for idx, stmt in enumerate(nest.body):
-        visit(stmt, idx)
-    return out
+from repro.ir.loopnest import ArrayAccess
 
 
 def dependence_candidate_pairs(accesses: Sequence[ArrayAccess]):

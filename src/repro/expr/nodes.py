@@ -27,7 +27,8 @@ affine view in :mod:`repro.expr.linear` is a filter over it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import (Callable, Dict, Iterator, Mapping, NamedTuple, Optional,
+                    Tuple)
 
 from repro.util.intmath import ceil_div, floor_div, sign
 
@@ -530,17 +531,51 @@ def vmax(*args) -> Expr:
     return _fold_minmax(args, max, Max)
 
 
-_FOLDABLE_CALLS: Dict[str, Callable[..., int]] = {
-    "abs": lambda x: abs(x),
-    "sgn": lambda x: sign(x),
+class Builtin(NamedTuple):
+    """A call every evaluator and emitter implements itself."""
+
+    #: The arity it is builtin at; ``None`` for any arity, the first
+    #: argument being the one used (the others are evaluated and ignored).
+    arity: Optional[int]
+    #: The implementation over argument values.
+    impl: Callable[..., int]
+    #: The comparison operator a relational form is (``None`` otherwise).
+    infix: Optional[str] = None
+
+
+#: The one builtin-call table.  A call is a builtin when its name and
+#: arity match an entry here; otherwise it is an array read or a function.
+#: A relational name at another arity is therefore an array or function,
+#: and so is ``ne``.  An array the caller binds under a builtin's name
+#: shadows the builtin at run time.
+BUILTINS: Dict[str, Builtin] = {
+    "le": Builtin(2, lambda a, b: 1 if a <= b else 0, "<="),
+    "ge": Builtin(2, lambda a, b: 1 if a >= b else 0, ">="),
+    "lt": Builtin(2, lambda a, b: 1 if a < b else 0, "<"),
+    "gt": Builtin(2, lambda a, b: 1 if a > b else 0, ">"),
+    "eq": Builtin(2, lambda a, b: 1 if a == b else 0, "=="),
+    "abs": Builtin(None, lambda x, *_: abs(x)),
+    "sgn": Builtin(None, lambda x, *_: sign(x)),
 }
 
 
+def builtin(func: str, arity: int) -> Optional[Builtin]:
+    """The builtin a call of *func* with *arity* arguments is, or None."""
+    entry = BUILTINS.get(func)
+    if entry is None or entry.arity not in (None, arity):
+        return None
+    return entry
+
+
 def call(func: str, *args) -> Expr:
-    """Opaque call; folds ``abs``/``sgn`` over constant arguments."""
+    """Opaque call; folds the arithmetic builtins (``abs``, ``sgn``) over
+    constant arguments.  A comparison stays a call, so a guard prints as
+    written."""
     cargs = tuple(_coerce(a) for a in args)
-    if func in _FOLDABLE_CALLS and all(isinstance(a, Const) for a in cargs):
-        return Const(_FOLDABLE_CALLS[func](*[a.value for a in cargs]))
+    entry = builtin(func, len(cargs))
+    if (entry is not None and entry.infix is None and cargs
+            and all(isinstance(a, Const) for a in cargs)):
+        return Const(entry.impl(*[a.value for a in cargs]))
     if func == "abs" and len(cargs) == 1:
         # abs(-e) == abs(e); normalize the sign of the leading coefficient.
         c, rest = _split_coeff(cargs[0])
@@ -595,6 +630,17 @@ def free_vars(e: Expr) -> frozenset:
     return result
 
 
+def subexpressions(e: Expr) -> Iterator[Expr]:
+    """*e* and every node below it, in pre-order, left to right (the
+    order the interpreter evaluates array reads in)."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (Const, Var)):
+            stack.extend(reversed(children(node)))
+
+
 def contains_call(e: Expr) -> bool:
     """True iff *e* contains any opaque :class:`Call` node."""
     if isinstance(e, Call):
@@ -639,7 +685,8 @@ def evaluate(e: Expr, env: Mapping[str, int],
     """Evaluate *e* to an integer under variable bindings *env*.
 
     ``funcs`` supplies implementations for opaque calls (e.g. a ``colstr``
-    lookup backed by a CSR array).  ``abs`` and ``sgn`` are built in.
+    lookup backed by a CSR array).  The :data:`BUILTINS` are built in
+    and come first, as in the interpreter.
     """
     if isinstance(e, Const):
         return e.value
@@ -668,8 +715,9 @@ def evaluate(e: Expr, env: Mapping[str, int],
     if isinstance(e, Max):
         return max(evaluate(a, env, funcs) for a in e.args)
     if isinstance(e, Call):
-        if e.func in _FOLDABLE_CALLS:
-            impl = _FOLDABLE_CALLS[e.func]
+        entry = builtin(e.func, len(e.args))
+        if entry is not None:
+            impl = entry.impl
         elif funcs and e.func in funcs:
             impl = funcs[e.func]
         else:

@@ -25,6 +25,7 @@ from repro.expr.nodes import (
     Mod,
     Mul,
     Var,
+    builtin,
 )
 from repro.ir.loopnest import (
     Assign,
@@ -36,44 +37,47 @@ from repro.ir.loopnest import (
 )
 from repro.util.errors import CodegenError
 
-_RELATIONAL = {"le": "<=", "ge": ">=", "lt": "<", "gt": ">", "eq": "=="}
 
-
-def _c_expr(e: Expr) -> str:
+def _c_expr(e: Expr, arrays: Set[str]) -> str:
+    """*e* in C; a call to a name in *arrays* is an array reference even
+    where the name is a builtin's."""
     if isinstance(e, Const):
         return str(e.value) if e.value >= 0 else f"({e.value})"
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Add):
-        return "(" + " + ".join(_c_expr(t) for t in e.terms) + ")"
+        return "(" + " + ".join(_c_expr(t, arrays) for t in e.terms) + ")"
     if isinstance(e, Mul):
-        return "(" + " * ".join(_c_expr(f) for f in e.factors) + ")"
+        return "(" + " * ".join(_c_expr(f, arrays)
+                                for f in e.factors) + ")"
     if isinstance(e, FloorDiv):
-        return f"FLOOR_DIV({_c_expr(e.num)}, {_c_expr(e.den)})"
+        return (f"FLOOR_DIV({_c_expr(e.num, arrays)}, "
+                f"{_c_expr(e.den, arrays)})")
     if isinstance(e, CeilDiv):
-        return f"CEIL_DIV({_c_expr(e.num)}, {_c_expr(e.den)})"
+        return (f"CEIL_DIV({_c_expr(e.num, arrays)}, "
+                f"{_c_expr(e.den, arrays)})")
     if isinstance(e, Mod):
-        return f"FLOOR_MOD({_c_expr(e.num)}, {_c_expr(e.den)})"
+        return (f"FLOOR_MOD({_c_expr(e.num, arrays)}, "
+                f"{_c_expr(e.den, arrays)})")
     if isinstance(e, Min):
-        inner = _c_expr(e.args[0])
+        inner = _c_expr(e.args[0], arrays)
         for a in e.args[1:]:
-            inner = f"MIN({inner}, {_c_expr(a)})"
+            inner = f"MIN({inner}, {_c_expr(a, arrays)})"
         return inner
     if isinstance(e, Max):
-        inner = _c_expr(e.args[0])
+        inner = _c_expr(e.args[0], arrays)
         for a in e.args[1:]:
-            inner = f"MAX({inner}, {_c_expr(a)})"
+            inner = f"MAX({inner}, {_c_expr(a, arrays)})"
         return inner
     if isinstance(e, Call):
-        if e.func in _RELATIONAL and len(e.args) == 2:
-            return (f"({_c_expr(e.args[0])} {_RELATIONAL[e.func]} "
-                    f"{_c_expr(e.args[1])})")
-        if e.func == "abs":
-            return f"ABS({_c_expr(e.args[0])})"
-        if e.func == "sgn":
-            return f"SGN({_c_expr(e.args[0])})"
-        args = ", ".join(_c_expr(a) for a in e.args)
-        return f"{e.func.upper()}({args})"
+        entry = None if e.func in arrays else builtin(e.func, len(e.args))
+        if entry is not None and entry.infix is not None:
+            return (f"({_c_expr(e.args[0], arrays)} {entry.infix} "
+                    f"{_c_expr(e.args[1], arrays)})")
+        # ABS/SGN read their first argument, as the interpreter does.
+        args = e.args[:1] if entry is not None else e.args
+        return (f"{e.func.upper()}("
+                + ", ".join(_c_expr(a, arrays) for a in args) + ")")
     raise CodegenError(f"cannot emit C for {e!r}")
 
 
@@ -89,18 +93,18 @@ _C_PRELUDE = """\
 """
 
 
-def _c_stmt(stmt: Statement, indent: str) -> List[str]:
+def _c_stmt(stmt: Statement, indent: str, arrays: Set[str]) -> List[str]:
     if isinstance(stmt, Assign):
-        subs = ", ".join(_c_expr(s) for s in stmt.target.subscripts)
+        subs = ", ".join(_c_expr(s, arrays) for s in stmt.target.subscripts)
         lhs = f"{stmt.target.name.upper()}({subs})"
         op = "+=" if stmt.accumulate else "="
-        return [f"{indent}{lhs} {op} {_c_expr(stmt.expr)};"]
+        return [f"{indent}{lhs} {op} {_c_expr(stmt.expr, arrays)};"]
     if isinstance(stmt, If):
-        lines = [f"{indent}if ({_c_expr(stmt.cond)})"]
-        lines.extend(_c_stmt(stmt.then, indent + "    "))
+        lines = [f"{indent}if ({_c_expr(stmt.cond, arrays)})"]
+        lines.extend(_c_stmt(stmt.then, indent + "    ", arrays))
         return lines
     if isinstance(stmt, InitStmt):
-        return [f"{indent}{stmt.var} = {_c_expr(stmt.expr)};"]
+        return [f"{indent}{stmt.var} = {_c_expr(stmt.expr, arrays)};"]
     raise CodegenError(f"cannot emit C for statement {stmt!r}")
 
 
@@ -113,12 +117,8 @@ def emit_c(nest: LoopNest, func_name: str = "kernel") -> str:
     pragma whose ``private`` clause names the indices of the loops inside
     it and every scalar, so no thread writes a variable another reads.
     """
-    scalars: Set[str] = {init.var for init in nest.inits}
-    for stmt in nest.body:
-        while isinstance(stmt, If):
-            stmt = stmt.then
-        if isinstance(stmt, InitStmt):
-            scalars.add(stmt.var)
+    scalars = nest.defined_names()
+    arrays = nest.written_names()
     invariants = sorted(nest.invariants())
 
     lines = [_C_PRELUDE]
@@ -134,19 +134,19 @@ def emit_c(nest: LoopNest, func_name: str = "kernel") -> str:
                 nest.indices[level + 1:])))
             clause = f" private({private})" if private else ""
             lines.append(f"{indent}#pragma omp parallel for{clause}")
-        step = _c_expr(lp.step)
-        cmp = (f"{lp.index} <= ({_c_expr(lp.upper)})"
+        step = _c_expr(lp.step, arrays)
+        cmp = (f"{lp.index} <= ({_c_expr(lp.upper, arrays)})"
                if not (isinstance(lp.step, Const) and lp.step.value < 0)
-               else f"{lp.index} >= ({_c_expr(lp.upper)})")
+               else f"{lp.index} >= ({_c_expr(lp.upper, arrays)})")
         lines.append(
-            f"{indent}for ({lp.index} = {_c_expr(lp.lower)}; {cmp}; "
-            f"{lp.index} += {step})")
+            f"{indent}for ({lp.index} = {_c_expr(lp.lower, arrays)}; "
+            f"{cmp}; {lp.index} += {step})")
         lines.append(indent + "{")
         indent += "    "
     for init in nest.inits:
-        lines.extend(_c_stmt(init, indent))
+        lines.extend(_c_stmt(init, indent, arrays))
     for stmt in nest.body:
-        lines.extend(_c_stmt(stmt, indent))
+        lines.extend(_c_stmt(stmt, indent, arrays))
     for _ in range(nest.depth):
         indent = indent[:-4]
         lines.append(indent + "}")

@@ -7,16 +7,22 @@ define the original index variables as functions of the new ones
 (Section 2, item 4(b); Figure 1(b)).
 
 Array references inside body expressions are represented as opaque
-:class:`~repro.expr.nodes.Call` nodes (``a(i, j)`` is ``Call("a", (i, j))``);
-the interpreter distinguishes arrays from true function calls by the
-bindings the caller supplies.
+:class:`~repro.expr.nodes.Call` nodes (``a(i, j)`` is ``Call("a", (i, j))``).
+Which calls are arrays is decided here, once, for every engine, emitter
+and analysis: :meth:`LoopNest.array_names` is the interpreter's rule (the
+names the nest writes, plus every callee that is neither a
+:data:`~repro.expr.nodes.BUILTINS` entry at its arity nor named as a
+function).  :meth:`LoopNest.statements` is the one walk over what an
+iteration runs; the other queries here read it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.expr.nodes import Const, Expr, free_vars, to_str
+from repro.expr.nodes import (Call, Const, Expr, builtin, free_vars,
+                              subexpressions, substitute, to_str)
 from repro.util.errors import ReproError
 
 DO = "do"
@@ -118,6 +124,11 @@ class Statement:
 
     __slots__ = ()
 
+    def expressions(self) -> Tuple[Expr, ...]:
+        """The expressions this statement evaluates itself, in the
+        interpreter's order (a guarded statement is not included)."""
+        raise NotImplementedError
+
 
 class Assign(Statement):
     """``target = expr`` or ``target += expr`` (accumulate)."""
@@ -132,6 +143,9 @@ class Assign(Statement):
         self.target = target
         self.expr = expr
         self.accumulate = accumulate
+
+    def expressions(self) -> Tuple[Expr, ...]:
+        return (self.expr,) + self.target.subscripts
 
     def __str__(self):
         op = "+=" if self.accumulate else "="
@@ -157,6 +171,9 @@ class If(Statement):
         self.cond = cond
         self.then = then
 
+    def expressions(self) -> Tuple[Expr, ...]:
+        return (self.cond,)
+
     def __str__(self):
         return f"if ({to_str(self.cond)}) {self.then}"
 
@@ -181,6 +198,9 @@ class InitStmt(Statement):
         self.var = var
         self.expr = expr
 
+    def expressions(self) -> Tuple[Expr, ...]:
+        return (self.expr,)
+
     def __str__(self):
         return f"{self.var} = {to_str(self.expr)}"
 
@@ -195,12 +215,37 @@ class InitStmt(Statement):
         return hash((self.var, self.expr))
 
 
+class ArrayAccess:
+    """One textual array reference.
+
+    *stmt_index* is the position of the statement making it: ``0..`` in
+    the body, ``-len(inits)..-1`` in the inits (which run first).
+    """
+
+    __slots__ = ("array", "subscripts", "is_write", "stmt_index")
+
+    def __init__(self, array: str, subscripts: Tuple[Expr, ...],
+                 is_write: bool, stmt_index: int):
+        self.array = array
+        self.subscripts = subscripts
+        self.is_write = is_write
+        self.stmt_index = stmt_index
+
+    def __repr__(self):
+        kind = "W" if self.is_write else "R"
+        subs = ", ".join(str(s) for s in self.subscripts)
+        return f"{kind}:{self.array}({subs})@stmt{self.stmt_index}"
+
+
 class LoopNest:
     """A perfect loop nest: loops (outer to inner), init statements, body.
 
-    ``inits`` are the initialization statements emitted by code generation
-    (empty for a source nest).  ``body`` is the original loop body and is
-    never changed by an iteration-reordering transformation.
+    ``inits`` are the scalar assignments that run first in every
+    iteration: those code generation emits to define the original index
+    variables (paper Section 2, item 4(b)) and, in a parsed nest, the
+    leading scalar assignments of the innermost body.  ``body`` is the
+    original loop body and is never changed by an iteration-reordering
+    transformation.
     """
 
     __slots__ = ("loops", "inits", "body")
@@ -253,6 +298,92 @@ class LoopNest:
     def invariants(self) -> frozenset:
         """Names used by bounds that are not loop indices (e.g. ``n``)."""
         return self.bound_free_vars() - set(self.indices)
+
+    # -- the walk ------------------------------------------------------------
+
+    def statements(self) -> Iterator[Tuple[int, Statement]]:
+        """Every statement one iteration runs, in order, with its position:
+        the inits (at ``-len(inits)..-1``), then the body (at ``0..``), each
+        ``If`` followed by its guarded statement at the same position."""
+        first = -len(self.inits)
+        for k, init in enumerate(self.inits):
+            yield first + k, init
+        for k, stmt in enumerate(self.body):
+            while isinstance(stmt, If):
+                yield k, stmt
+                stmt = stmt.then
+            yield k, stmt
+
+    def expressions(self) -> Iterator[Expr]:
+        """Every expression the nest evaluates: the loop bounds, then
+        what each of :meth:`statements` evaluates."""
+        for lp in self.loops:
+            yield lp.lower
+            yield lp.upper
+            yield lp.step
+        for _, stmt in self.statements():
+            yield from stmt.expressions()
+
+    def variables(self) -> Set[str]:
+        """Every plain-variable name the nest reads."""
+        return set().union(*(free_vars(e) for e in self.expressions()))
+
+    def calls(self) -> Set[Tuple[str, int]]:
+        """Every ``(callee, arity)`` pair the nest evaluates."""
+        return {(c.func, len(c.args)) for e in self.expressions()
+                for c in subexpressions(e) if isinstance(c, Call)}
+
+    def written_names(self) -> Set[str]:
+        """The arrays the nest assigns to."""
+        return {s.target.name for _, s in self.statements()
+                if isinstance(s, Assign)}
+
+    def defined_names(self) -> Set[str]:
+        """The scalars the nest assigns to (init statements, guarded or
+        not)."""
+        return {s.var for _, s in self.statements()
+                if isinstance(s, InitStmt)}
+
+    def array_names(self, funcs: Iterable[str] = ()) -> Set[str]:
+        """The interpreter's array rule: the names the nest writes, plus
+        every callee that is neither a builtin at its arity nor named in
+        *funcs* (a read of an array the nest never writes)."""
+        funcs = set(funcs)
+        return self.written_names() | {
+            f for f, k in self.calls()
+            if f not in funcs and builtin(f, k) is None}
+
+    def folded_inits(self) -> Dict[str, Expr]:
+        """Each init variable's value once the inits have run, over the
+        loop indices and invariants: the inits folded in order, each
+        seeing the definitions before it (a redefinition wins)."""
+        mapping: Dict[str, Expr] = {}
+        for init in self.inits:
+            mapping[init.var] = substitute(init.expr, mapping)
+        return mapping
+
+    def accesses(self, arrays: Optional[Iterable[str]] = None
+                 ) -> List[ArrayAccess]:
+        """Every reference to an array of *arrays* (default
+        :meth:`array_names`), in the interpreter's evaluation order: per
+        statement, an accumulation's read of its target, the reads in
+        what it evaluates, then its write."""
+        known = set(self.array_names() if arrays is None else arrays)
+        out: List[ArrayAccess] = []
+        for pos, stmt in self.statements():
+            if pos < 0:
+                continue  # dependence analysis has never seen the inits
+            if isinstance(stmt, Assign) and stmt.accumulate:
+                out.append(ArrayAccess(stmt.target.name,
+                                       stmt.target.subscripts, False, pos))
+            for e in stmt.expressions():
+                out.extend(ArrayAccess(c.func, c.args, False, pos)
+                           for c in subexpressions(e)
+                           if isinstance(c, Call) and c.func in known)
+            if isinstance(stmt, Assign):
+                out.append(ArrayAccess(stmt.target.name,
+                                       stmt.target.subscripts, True, pos))
+        return out
 
     # -- rendering ---------------------------------------------------------
 

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sequence import Transformation
 from repro.core.templates.reverse_permute import ReversePermute
-from repro.deps.analysis.references import collect_accesses
 from repro.deps.vector import DepSet
 from repro.expr.linear import affine_form
 from repro.expr.nodes import free_vars
@@ -56,48 +55,17 @@ def reference_cost(subscripts, innermost: str, line_elements: int,
     return STRIDE_MISS
 
 
-_NON_ARRAY_CALLS = {"le", "ge", "lt", "gt", "eq", "abs", "sgn"}
-
-
-def _all_memory_names(nest: LoopNest) -> set:
-    """Every callee in the body that plausibly touches memory: written
-    arrays plus read-only arrays (and indexed lookups, which cost like
-    arrays for this model's purposes)."""
-    from repro.deps.analysis.references import inferred_array_names
-    from repro.expr.nodes import Call, children
-    from repro.ir.loopnest import Assign, If, InitStmt
-
-    names = set(inferred_array_names(nest))
-
-    def scan(e):
-        if isinstance(e, Call) and e.func not in _NON_ARRAY_CALLS:
-            names.add(e.func)
-        for c in children(e):
-            scan(c)
-
-    def visit(stmt):
-        if isinstance(stmt, Assign):
-            scan(stmt.expr)
-            for s in stmt.target.subscripts:
-                scan(s)
-        elif isinstance(stmt, If):
-            scan(stmt.cond)
-            visit(stmt.then)
-        elif isinstance(stmt, InitStmt):
-            scan(stmt.expr)
-
-    for stmt in nest.body:
-        visit(stmt)
-    return names
-
-
 def loop_cost(nest: LoopNest, innermost: str,
               line_elements: int = 8, order: str = "row") -> float:
     """Total per-iteration miss cost of *nest* with *innermost* as the
-    innermost loop index (references deduplicated per array+subscripts)."""
+    innermost loop index (references deduplicated per array+subscripts).
+
+    The references are every array access under the interpreter's rule
+    (:meth:`~repro.ir.loopnest.LoopNest.array_names`): read-only arrays
+    and indexed lookups cost like arrays here."""
     seen = set()
     total = 0.0
-    for access in collect_accesses(nest, arrays=_all_memory_names(nest)):
+    for access in nest.accesses():
         key = (access.array, access.subscripts)
         if key in seen:
             continue

@@ -54,6 +54,7 @@ from repro.expr.nodes import (
     Mod,
     Mul,
     Var,
+    builtin,
     children,
 )
 from repro.ir.loopnest import Assign, If, InitStmt, LoopNest, PARDO, Statement
@@ -64,8 +65,6 @@ from repro.resilience import guards as _guards
 from repro.runtime.arrays import Array
 from repro.runtime.interpreter import ExecutionResult, Schedule
 from repro.util.errors import CodegenError, ReproError
-
-_RELATIONAL = {"le": "<=", "ge": ">=", "lt": "<", "gt": ">", "eq": "=="}
 
 #: The helpers generated code calls, as source, so the compiled engine and
 #: the emitted module share one definition.  Like the interpreter,
@@ -81,13 +80,6 @@ def _fst(x, *_):
 """
 _HELPER_NS: Dict[str, object] = {}
 exec(_HELPERS, _HELPER_NS)
-
-
-def _is_builtin_call(func: str, arity: int) -> bool:
-    """Mirror of ``Interpreter._eval_call``'s builtin dispatch: the
-    relational forms apply only at arity 2, ``abs``/``sgn`` at any
-    arity (they use the first argument)."""
-    return (func in _RELATIONAL and arity == 2) or func in ("abs", "sgn")
 
 
 class _Emitter:
@@ -154,18 +146,19 @@ class _Emitter:
     def call(self, e: Call) -> str:
         args = ", ".join(self.expr(a) for a in e.args)
         # Precedence mirrors Interpreter._eval_call: arrays shadow the
-        # relational/abs/sgn builtins and user functions.
+        # builtins and user functions.
         if e.func in self.arrays:
             return self.read(e.func, f"({args},)")
-        if e.func in _RELATIONAL and len(e.args) == 2:
-            a, b = (self.expr(x) for x in e.args)
-            return f"(1 if {a} {_RELATIONAL[e.func]} {b} else 0)"
-        if e.func == "abs":
+        entry = builtin(e.func, len(e.args))
+        if entry is not None:
+            if entry.infix is not None:
+                a, b = (self.expr(x) for x in e.args)
+                return f"(1 if {a} {entry.infix} {b} else 0)"
+            if e.func == "sgn":
+                return f"_sgn({args})"
             if len(e.args) == 1:
                 return f"abs({args})"
             return f"abs(_fst({args}))"
-        if e.func == "sgn":
-            return f"_sgn({args})"
         if e.func in self.funcs:
             return f"int(_fn_{e.func}({args}))"
         # Interpreter fallback: an unknown callee reads a never-written
@@ -201,7 +194,7 @@ class _Emitter:
             if e.func in self.arrays:
                 if e.func in self._written or not self._reads_ok:
                     return False
-            elif not (e.args and _is_builtin_call(e.func, len(e.args))):
+            elif not (e.args and builtin(e.func, len(e.args))):
                 return False
         elif not isinstance(e, (Add, Mul, Min, Max)):
             return False
@@ -218,7 +211,7 @@ class _Emitter:
             name = self._hoisted[src] = f"_h{len(self._hoisted) + 1}"
         return name
 
-    def _accumulators(self, flat: List[Statement]) -> List[int]:
+    def _accumulators(self) -> List[int]:
         """Body indices of the statements ``X(s) += e`` to scalar-replace.
 
         ``s`` must be loop-invariant and ``X`` must be neither read
@@ -226,24 +219,14 @@ class _Emitter:
         access can observe the element while its running sum lives in a
         local.
         """
-        called = {f for f, _ in _walk(self.nest)[1]}
-        targets = [s.target.name for s in flat if isinstance(s, Assign)]
+        called = {f for f, _ in self.nest.calls()}
+        targets = [s.target.name for _, s in self.nest.statements()
+                   if isinstance(s, Assign)]
         return [k for k, s in enumerate(self.nest.body)
                 if isinstance(s, Assign) and s.accumulate
                 and s.target.name not in called
                 and targets.count(s.target.name) == 1
                 and all(self._invariant(x) for x in s.target.subscripts)]
-
-    @staticmethod
-    def _flat(stmts: Sequence[Statement]) -> List[Statement]:
-        """*stmts* with every ``If`` followed by its guarded statement."""
-        out: List[Statement] = []
-        for s in stmts:
-            while isinstance(s, If):
-                out.append(s)
-                s = s.then
-            out.append(s)
-        return out
 
     # -- statements --------------------------------------------------------
 
@@ -317,14 +300,10 @@ class _Emitter:
         outer, self.lines = self.lines, []
         stores: List[str] = []
         if not self.trace_addresses:
-            flat = self._flat(self.nest.body)
-            inits = {i.var for i in self.nest.inits}
-            inits |= {s.var for s in flat if isinstance(s, InitStmt)}
-            self._written = {s.target.name for s in flat
-                             if isinstance(s, Assign)}
+            self._written = self.nest.written_names()
             self._fixed = ((set(symbols) | set(self.nest.indices[:-1]))
-                           - inits - {index})
-            for k in self._accumulators(flat):
+                           - self.nest.defined_names() - {index})
+            for k in self._accumulators():
                 s = self.nest.body[k]
                 self._tmp += 1
                 acc, ix = f"_acc{self._tmp}", f"_ix{self._tmp}"
@@ -407,54 +386,6 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _walk(nest: LoopNest) -> Tuple[Set[str], Set[Tuple[str, int]]]:
-    """Every plain-variable name and every ``(callee, arity)`` pair the
-    nest evaluates, in one walk over bounds, inits and body."""
-    names: Set[str] = set()
-    calls: Set[Tuple[str, int]] = set()
-
-    def scan(e: Expr) -> None:
-        if isinstance(e, Var):
-            names.add(e.name)
-        elif isinstance(e, Call):
-            calls.add((e.func, len(e.args)))
-        for c in children(e):
-            scan(c)
-
-    def visit(s: Statement) -> None:
-        if isinstance(s, Assign):
-            scan(s.expr)
-            for sub in s.target.subscripts:
-                scan(sub)
-        elif isinstance(s, If):
-            scan(s.cond)
-            visit(s.then)
-        elif isinstance(s, InitStmt):
-            scan(s.expr)
-
-    for lp in nest.loops:
-        for e in (lp.lower, lp.upper, lp.step):
-            scan(e)
-    for init in nest.inits:
-        scan(init.expr)
-    for s in nest.body:
-        visit(s)
-    return names, calls
-
-
-def _array_names(nest: LoopNest, calls: Set[Tuple[str, int]],
-                 funcs: Iterable[str]) -> Set[str]:
-    """The interpreter's rule: the names the nest writes, plus every
-    callee that is neither builtin nor named as a function (a read of a
-    never-written array)."""
-    from repro.deps.analysis.references import inferred_array_names
-
-    funcs = set(funcs)
-    return inferred_array_names(nest) | {
-        f for f, k in calls
-        if f not in funcs and not _is_builtin_call(f, k)}
-
-
 class CompiledNest:
     """A :class:`LoopNest` compiled to native Python, interpreter-compatible.
 
@@ -484,8 +415,9 @@ class CompiledNest:
         self.trace_vars = tuple(trace_vars) if trace_vars is not None else None
         self.trace_addresses = trace_addresses
         self.max_iterations = max_iterations
-        self._names, self._calls = _walk(nest)
-        self._base_arrays = _array_names(nest, self._calls, self.funcs)
+        self._names = nest.variables()
+        self._calls = nest.calls()
+        self._base_arrays = nest.array_names(self.funcs)
         self._variants: Dict[frozenset, Tuple[str, Callable]] = {}
 
     # -- compilation -------------------------------------------------------
@@ -608,14 +540,13 @@ def emit_python(nest: LoopNest, funcs: Iterable[str] = ()) -> str:
     every other non-builtin callee is an array, as in the interpreter.
     ``pardo`` loops run in order and there is no iteration cap.
     """
-    names, calls = _walk(nest)
     funcs = set(funcs)
-    arrays = _array_names(nest, calls, funcs)
-    assigned = set(nest.indices) | {i.var for i in nest.inits} | {
-        s.var for s in _Emitter._flat(nest.body) if isinstance(s, InitStmt)}
-    emitter = _Emitter(nest, arrays, {f for f, _ in calls if f in funcs
-                                      and f not in arrays}, None, False)
-    return (_MODULE_HEAD + emitter.source(sorted(names - assigned))
+    arrays = nest.array_names(funcs)
+    assigned = set(nest.indices) | nest.defined_names()
+    emitter = _Emitter(nest, arrays, {f for f, _ in nest.calls()
+                                      if f in funcs and f not in arrays},
+                       None, False)
+    return (_MODULE_HEAD + emitter.source(sorted(nest.variables() - assigned))
             + _MODULE_ENTRY)
 
 

@@ -34,6 +34,7 @@ from repro.expr.nodes import (
     Mod,
     Mul,
     Var,
+    builtin,
 )
 from repro.ir.loopnest import Assign, If, InitStmt, Loop, LoopNest, PARDO, Statement
 from repro.obs import trace as _obs
@@ -41,15 +42,6 @@ from repro.obs.metrics import get_metrics
 from repro.runtime.arrays import Array
 from repro.util.intmath import ceil_div, floor_div, sign
 from repro.util.errors import ReproError
-
-_RELATIONAL = {
-    "le": lambda a, b: 1 if a <= b else 0,
-    "ge": lambda a, b: 1 if a >= b else 0,
-    "lt": lambda a, b: 1 if a < b else 0,
-    "gt": lambda a, b: 1 if a > b else 0,
-    "eq": lambda a, b: 1 if a == b else 0,
-}
-
 
 class Schedule:
     """Ordering policy for ``pardo`` loops.
@@ -117,8 +109,7 @@ class Interpreter:
         self.trace_addresses = trace_addresses
         self.max_iterations = max_iterations
         # Names written by the body are arrays even before first write.
-        from repro.deps.analysis.references import inferred_array_names
-        self._array_names = inferred_array_names(nest)
+        self._array_names = nest.written_names()
 
     def run(self, arrays: Mapping[str, Array]) -> ExecutionResult:
         """Execute on copies of *arrays*; the inputs are not mutated."""
@@ -242,12 +233,9 @@ class Interpreter:
             if atrace is not None:
                 atrace.append((e.func, index, "R"))
             return self._array(e.func, state)[index]
-        if e.func in _RELATIONAL and len(args) == 2:
-            return _RELATIONAL[e.func](*args)
-        if e.func == "abs":
-            return abs(args[0])
-        if e.func == "sgn":
-            return sign(args[0])
+        entry = builtin(e.func, len(args))
+        if entry is not None:
+            return entry.impl(*args)
         if e.func in self.funcs:
             return int(self.funcs[e.func](*args))
         # Fortran-ish default: an unknown callee is a read of a

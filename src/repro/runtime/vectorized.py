@@ -35,15 +35,14 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Set,
 
 from repro.expr.linear import affine_form
 from repro.expr.nodes import (Add, Call, CeilDiv, Const, Expr, FloorDiv, Max,
-                              Min, Mod, Mul, Var, children, evaluate,
-                              free_vars, substitute)
-from repro.ir.loopnest import (Assign, If, InitStmt, Loop, LoopNest, PARDO,
-                               Statement)
+                              Min, Mod, Mul, Var, builtin, children,
+                              contains_call, evaluate, free_vars,
+                              subexpressions, substitute)
+from repro.ir.loopnest import Assign, If, InitStmt, Loop, LoopNest, PARDO
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
 from repro.runtime.arrays import Array
-from repro.runtime.compiled import (CompiledNest, CompiledNestCache,
-                                    _array_names, _is_builtin_call, _walk)
+from repro.runtime.compiled import CompiledNest, CompiledNestCache
 from repro.runtime.interpreter import ExecutionResult, Schedule
 from repro.util.errors import ReproError
 from repro.util.intmath import sign
@@ -135,12 +134,6 @@ def _interval(e: Expr, ienv: Mapping[str, Tuple[int, int]]
             return None
         return (max(iv[0] for iv in ivs), max(iv[1] for iv in ivs))
     return None  # Call (array read / function) or unknown node
-
-
-def _has_call(e: Expr) -> bool:
-    if isinstance(e, Call):
-        return True
-    return any(_has_call(c) for c in children(e))
 
 
 class _Bail(Exception):
@@ -251,9 +244,8 @@ class _Planner:
 
     def _build(self) -> None:
         nest, plan = self.nest, self.plan
-        calls = _walk(nest)[1]
-        self.arrays = _array_names(nest, calls, self.funcs)
-        plan.call_names = {f for f, _ in calls} - self.arrays
+        self.arrays = nest.array_names(self.funcs)
+        plan.call_names = {f for f, _ in nest.calls()} - self.arrays
 
         if not any(isinstance(s, (Assign, If)) for s in nest.body):
             self._bail("no-statements")
@@ -280,14 +272,12 @@ class _Planner:
         bounds the total iteration space, and grid_bound the largest
         kernel the maximal suffix could launch."""
         plan = self.plan
-        init_vars = ({i.var for i in self.nest.inits} |
-                     {s.var for s in self.nest.body
-                      if isinstance(s, InitStmt)})
+        init_vars = self.nest.defined_names()
         iter_bound = 1
         self.trip_bounds: List[int] = []
         for lp in self.nest.loops:
             for e in (lp.lower, lp.upper, lp.step):
-                if _has_call(e):
+                if contains_call(e):
                     self._bail("bound-reads-array")
                 if free_vars(e) & init_vars:
                     self._bail("bound-reads-init-var")
@@ -349,51 +339,30 @@ class _Planner:
         """
         nest = self.nest
         indices = set(nest.indices)
-        mapping: Dict[str, Expr] = {}
-        for init in nest.inits:
-            if init.var in indices or init.var in mapping:
-                self._bail("init-shadowing")
-            mapping[init.var] = substitute(init.expr, mapping)
+        init_vars = [init.var for init in nest.inits]
+        if indices & set(init_vars) or len(set(init_vars)) < len(init_vars):
+            self._bail("init-shadowing")
+        mapping = nest.folded_inits()
 
-        body_defs = set()
-        for s in nest.body:
-            t = s
-            while isinstance(t, If):
-                t = t.then
-            if isinstance(t, InitStmt):
-                if isinstance(s, If):
+        body_defs: Set[str] = set()
+        for pos, s in nest.statements():
+            if pos >= 0 and isinstance(s, InitStmt):
+                if nest.body[pos] is not s:
                     self._bail("guarded-init")
-                if t.var in indices or t.var in mapping or t.var in body_defs:
+                if s.var in indices or s.var in mapping or s.var in body_defs:
                     self._bail("init-shadowing")
-                body_defs.add(t.var)
+                body_defs.add(s.var)
 
         folded: Dict[int, Tuple[Tuple[Expr, ...], Expr]] = {}
-        defined: Set[str] = set(mapping)
-        pending = set(body_defs)
-        for pos, s in enumerate(nest.body):
-            used: Set[str] = set()
-            if isinstance(s, Assign):
-                used = set(free_vars(s.expr))
-                for sub in s.target.subscripts:
-                    used |= free_vars(sub)
-            elif isinstance(s, If):
-                t: Statement = s
-                while isinstance(t, If):
-                    used |= free_vars(t.cond)
-                    t = t.then
-                if isinstance(t, Assign):
-                    used |= free_vars(t.expr)
-                    for sub in t.target.subscripts:
-                        used |= free_vars(sub)
-            elif isinstance(s, InitStmt):
-                used = set(free_vars(s.expr))
-            if used & (pending - defined):
+        for pos, s in nest.statements():
+            if pos < 0:
+                continue
+            if any(free_vars(e) & body_defs for e in s.expressions()):
                 self._bail("use-before-init")
             if isinstance(s, InitStmt):
                 mapping[s.var] = substitute(s.expr, mapping)
-                defined.add(s.var)
-                pending.discard(s.var)
-            elif isinstance(s, Assign):
+                body_defs.discard(s.var)
+            elif isinstance(s, Assign) and nest.body[pos] is s:
                 folded[pos] = (
                     tuple(substitute(x, mapping)
                           for x in s.target.subscripts),
@@ -401,32 +370,6 @@ class _Planner:
         return folded
 
     # -- fission into independent statement groups --------------------------
-
-    def _stmt_names(self, s: Statement) -> Tuple[Set[str], Set[str]]:
-        """(arrays read, arrays written) by one statement, name-level."""
-        reads: Set[str] = set()
-        writes: Set[str] = set()
-
-        def scan(e: Expr) -> None:
-            if isinstance(e, Call) and e.func in self.arrays:
-                reads.add(e.func)
-            for c in children(e):
-                scan(c)
-
-        t = s
-        while isinstance(t, If):
-            scan(t.cond)
-            t = t.then
-        if isinstance(t, Assign):
-            writes.add(t.target.name)
-            if t.accumulate:
-                reads.add(t.target.name)
-            for sub in t.target.subscripts:
-                scan(sub)
-            scan(t.expr)
-        elif isinstance(t, InitStmt):
-            scan(t.expr)
-        return reads, writes
 
     def _group(self, folded: Dict[int, Tuple[Tuple[Expr, ...], Expr]]
                ) -> None:
@@ -437,7 +380,11 @@ class _Planner:
         nest, plan = self.nest, self.plan
         members = [pos for pos, s in enumerate(nest.body)
                    if not isinstance(s, InitStmt)]
-        names = {pos: self._stmt_names(nest.body[pos]) for pos in members}
+        # Per statement, (arrays read, arrays written), name-level.
+        names = {pos: (set(), set()) for pos in members}
+        for access in nest.accesses(self.arrays):
+            if access.stmt_index in names:
+                names[access.stmt_index][access.is_write].add(access.array)
         parent = {pos: pos for pos in members}
 
         def find(x: int) -> int:
@@ -504,7 +451,7 @@ class _Planner:
             af = affine_form(sub, suffix)
             if af is None:
                 return "non-affine-subscript"
-            if _has_call(af.rest):
+            if contains_call(af.rest):
                 return "subscript-reads-array"
             if _interval(sub, self.plan.ienv) is None:
                 return "unbounded-subscript"
@@ -532,7 +479,7 @@ class _Planner:
                     af = affine_form(sub, suffix)
                     if af is None:
                         return "non-affine-subscript"
-                    if _has_call(af.rest):
+                    if contains_call(af.rest):
                         return "subscript-reads-array"
                     if _interval(sub, self.plan.ienv) is None:
                         return "unbounded-subscript"
@@ -541,11 +488,11 @@ class _Planner:
                 bad = self._check_expr(e.args[0], suffix)
                 if bad is not None:
                     return bad
-                if any(free_vars(a) & set(suffix) or _has_call(a)
+                if any(free_vars(a) & set(suffix) or contains_call(a)
                        for a in e.args[1:]):
                     return "abs-extra-args"
                 return None
-            if _is_builtin_call(e.func, len(e.args)):
+            if builtin(e.func, len(e.args)):
                 return "relational-call"
             return "user-func-call"
         if isinstance(e, (Const, Var, Add, Mul, FloorDiv, CeilDiv, Mod,
@@ -610,7 +557,9 @@ class _Planner:
             return None
 
         for vs in stmts:
-            if vs.red_axes and vs.target_name in _reads_of(vs.expr):
+            if vs.red_axes and any(
+                    isinstance(c, Call) and c.func == vs.target_name
+                    for c in subexpressions(vs.expr)):
                 return "reduction-reads-target"
             bad = check_read(vs.expr)
             if bad is not None:
@@ -632,18 +581,10 @@ class _Planner:
     # -- dense extents -------------------------------------------------------
 
     def _record_extents(self, vs: _VecStmt, suffix: List[str]) -> None:
-        refs: List[Tuple[str, Tuple[Expr, ...]]] = [
-            (vs.target_name, vs.target_subs)]
-
-        def collect(e: Expr) -> None:
-            if isinstance(e, Call) and e.func in self.arrays:
-                refs.append((e.func, tuple(e.args)))
-            for c in children(e):
-                collect(c)
-
-        collect(vs.expr)
-        for sub in vs.target_subs:
-            collect(sub)
+        refs = [(vs.target_name, vs.target_subs)] + [
+            (c.func, c.args) for e in (vs.expr,) + vs.target_subs
+            for c in subexpressions(e)
+            if isinstance(c, Call) and c.func in self.arrays]
         for name, subs in refs:
             ivs = [_interval(sub, self.plan.ienv) for sub in subs]
             if any(iv is None for iv in ivs):
@@ -657,15 +598,6 @@ class _Planner:
                 self.plan.extents[name] = [
                     (min(k[0], iv[0]), max(k[1], iv[1]))  # type: ignore
                     for k, iv in zip(known, ivs)]
-
-
-def _reads_of(e: Expr) -> Set[str]:
-    out: Set[str] = set()
-    if isinstance(e, Call):
-        out.add(e.func)
-    for c in children(e):
-        out |= _reads_of(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,7 @@ from repro import obs
 from repro.deps.analysis import DependenceAnalyzer, analyze
 from repro.deps.analysis.driver import _conservative_cover
 from repro.deps.analysis.linear_system import LinConstraint, LinearSystem
-from repro.deps.analysis.references import (
-    collect_accesses,
-    dependence_candidate_pairs,
-)
+from repro.deps.analysis.references import dependence_candidate_pairs
 from repro.deps.analysis.tests import Equality, banerjee_test, gcd_test
 from repro.deps.vector import DepSet, depset, depv
 from repro.ir.parser import parse_nest
@@ -476,7 +473,7 @@ def _unmemoized(nest):
     """Per-pair vectors with every pair's test ladder actually run."""
     analyzer = DependenceAnalyzer(nest)
     out = []
-    for src, dst in dependence_candidate_pairs(collect_accesses(nest)):
+    for src, dst in dependence_candidate_pairs(nest.accesses()):
         problem = analyzer._build_problem(src, dst)
         out.append(analyzer._enumerate(problem) if problem.equalities
                    else _conservative_cover(nest.depth))

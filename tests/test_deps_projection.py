@@ -19,10 +19,7 @@ from repro import obs
 from repro.core.sequence import Transformation
 from repro.deps.analysis import DependenceAnalyzer, analyze
 from repro.deps.analysis.linear_system import LinConstraint, LinearSystem
-from repro.deps.analysis.references import (
-    collect_accesses,
-    dependence_candidate_pairs,
-)
+from repro.deps.analysis.references import dependence_candidate_pairs
 from repro.deps.analysis.tests import DIRECTION_INTERVALS
 from repro.fuzz.gen import CaseGen
 from repro.ir.parser import parse_nest
@@ -80,7 +77,7 @@ def _pair_problems():
     seen = set()
     for nest in _nests():
         analyzer = DependenceAnalyzer(nest)
-        for src, dst in dependence_candidate_pairs(collect_accesses(nest)):
+        for src, dst in dependence_candidate_pairs(nest.accesses()):
             problem = analyzer._build_problem(src, dst)
             key = frozenset(c.key() for c in problem.base.constraints)
             if problem.equalities and key not in seen:
