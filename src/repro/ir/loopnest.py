@@ -371,8 +371,6 @@ class LoopNest:
         known = set(self.array_names() if arrays is None else arrays)
         out: List[ArrayAccess] = []
         for pos, stmt in self.statements():
-            if pos < 0:
-                continue  # dependence analysis has never seen the inits
             if isinstance(stmt, Assign) and stmt.accumulate:
                 out.append(ArrayAccess(stmt.target.name,
                                        stmt.target.subscripts, False, pos))
