@@ -4,8 +4,11 @@ Pipeline (standard practice per the paper's references [4, 15, 10, 6, 12]):
 
 1. normalize constant non-unit steps to iteration counters (dependence
    entries are iteration-number differences, Def. 3.3);
-2. collect array accesses and form candidate pairs (same array, at least
-   one write);
+2. collect array accesses, the inits' before the body's, and form
+   candidate pairs (same array, at least one write); a subscript that
+   names an init variable reads its folded definition
+   (:meth:`~repro.ir.loopnest.LoopNest.folded_inits`), so ``it = kk;
+   b(it)`` is analysed as ``b(kk)``;
 3. per pair, build the affine subscript equalities and loop-bound
    constraints over the 2n iteration variables (plus symbolic
    invariants as free unknowns);
@@ -97,7 +100,7 @@ from repro.expr.nodes import (
     substitute,
     var,
 )
-from repro.ir.loopnest import LoopNest
+from repro.ir.loopnest import InitStmt, LoopNest
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
 
@@ -238,7 +241,12 @@ class DependenceAnalyzer:
     def _prepare(self) -> None:
         nest = self.nest
         self.index_names = list(nest.indices)
-        self.invariants = sorted(nest.invariants())
+        folded = nest.folded_inits()
+        # A name the inits read that nothing assigns is as invariant as a
+        # bound's symbol.
+        self.invariants = sorted(nest.invariants() | (
+            set().union(*map(free_vars, folded.values()))
+            - set(self.index_names) - nest.defined_names()))
         # Normalize constant non-unit steps: x = l + s*t.
         self.rewrite: Dict[str, Expr] = {}
         self.opaque_levels: Set[int] = set()  # 0-based
@@ -270,6 +278,16 @@ class DependenceAnalyzer:
                 self.opaque_levels.add(k)
                 bounds.append(None)
         self._bounds = bounds
+        # A subscript reads the init variables after the inits ran, so it
+        # sees their folded definitions.  A scalar the body assigns (under
+        # a guard) may hold an earlier iteration's value: opaque.
+        self._subscript_rewrite = dict(self.rewrite)
+        for name, value in folded.items():
+            self._subscript_rewrite[name] = substitute(value, self.rewrite)
+        for pos, stmt in nest.statements():
+            if pos >= 0 and isinstance(stmt, InitStmt):
+                self._subscript_rewrite[stmt.var] = call("opaque$scalar",
+                                                         var(stmt.var))
         # Names _affine_dict leaves bare that _suffix_var re-suffixes.
         self._iteration_vars = index_set | set(self.norm_names)
         self._direction_rows = {nm: _direction_rows(nm)
@@ -387,10 +405,10 @@ class DependenceAnalyzer:
                        dst: ArrayAccess) -> Optional[_PairProblem]:
         equalities: List[Equality] = []
         for f, g in zip(src.subscripts, dst.subscripts):
-            fa = _affine_dict(substitute(f, self.rewrite), self.norm_names,
-                              "", self.invariants)
-            ga = _affine_dict(substitute(g, self.rewrite), self.norm_names,
-                              "", self.invariants)
+            fa = _affine_dict(substitute(f, self._subscript_rewrite),
+                              self.norm_names, "", self.invariants)
+            ga = _affine_dict(substitute(g, self._subscript_rewrite),
+                              self.norm_names, "", self.invariants)
             if fa is None or ga is None:
                 continue  # non-affine dimension contributes no constraint
             coeffs: Coeffs = {}
