@@ -102,16 +102,7 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.core import BoundsMatrix, Transformation
 from repro.core.bounds_matrix import LB, STEP, UB
-# The step mini-language lives in repro.core.spec (it is shared wire
-# format, not CLI detail); these re-exports keep the historical
-# ``from repro.cli import parse_steps`` spelling working.
-from repro.core.spec import (  # noqa: F401  (re-exported)
-    SpecError,
-    build_step,
-    parse_call as _parse_call,
-    parse_steps,
-    split_calls as _split_calls,
-)
+from repro.core.spec import parse_steps
 from repro.deps.analysis import LEVELS, analyze
 from repro.ir import parse_nest
 from repro.ir.emit import emit_c

@@ -192,9 +192,10 @@ class Transformation:
     def to_spec(self) -> str:
         """Serialize to the CLI step mini-language.
 
-        ``repro.cli.parse_steps(T.to_spec(), T.input_depth)`` rebuilds an
-        equivalent transformation (modulo peephole reduction), so
-        sequences can be saved, replayed and shipped as plain strings.
+        ``repro.core.spec.parse_steps(T.to_spec(), T.input_depth)``
+        rebuilds an equivalent transformation (modulo peephole
+        reduction), so sequences can be saved, replayed and shipped as
+        plain strings.
         """
         return "; ".join(step.to_spec() for step in self.steps)
 

@@ -22,9 +22,6 @@ protocol (:mod:`repro.service`) all speak exactly the same language:
 * :func:`step_from_spec` — one step's spec -> :class:`Template`
   (the inverse of :meth:`Template.to_spec`); ``names`` restores the
   loop renaming a Unimodular spec omits.
-
-Historically this lived in :mod:`repro.cli`, which still re-exports
-every public name for compatibility.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import SpecError, build_step, main, parse_steps
+from repro.cli import main
+from repro.core.spec import SpecError, build_step, parse_steps
 from repro.core import (
     Block,
     Coalesce,

@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+from repro.expr.nodes import call, var
+from repro.ir.loopnest import ArrayRef, Assign, LoopNest
 from repro.ir.parser import parse_nest
 from repro.runtime import Array, CompiledNest, Interpreter, run_compiled
 from repro.runtime.interpreter import Schedule
@@ -105,7 +107,33 @@ def test_examples_differential(path, schedule):
     assert_untraced_agree(nest, arrays, symbols, schedule)
 
 
-EDGE_NESTS = [
+def _abs_sgn_arity_2():
+    """``abs``/``sgn`` with a second argument: builtin at any arity, they
+    use the first.  The parser builds them at arity 1 only."""
+    loops = parse_nest("do i = 1, 4\n do j = 1, 4\n  a(i, j) = 0\n enddo\n"
+                       "enddo").loops
+    i, j = var("i"), var("j")
+    value = call("abs", i - j, j) + call("sgn", i - 3, j) * 10
+    return LoopNest(loops, [Assign(ArrayRef("a", (i, j)), value)])
+
+
+#: Calls at the edges of the builtin rule: a relational name at another
+#: arity and ``ne`` are arrays, ``abs``/``sgn`` are builtin at any arity,
+#: and an array the nest writes shadows a builtin of its name.  The
+#: vectorized and emitted-module differentials run these too.
+CALL_NESTS = [
+    ("relational-arity-1-3",
+     "do i = 1, 5\n a(i) = le(i) + ge(i, 2, 3)*10\nenddo", {}),
+    ("abs-sgn-arity-2", _abs_sgn_arity_2(), {}),
+    ("ne",
+     "do i = 1, 4\n do j = 1, 4\n  if (ne(i, j)) a(i, j) = ne(j, i) + 1\n"
+     " enddo\nenddo", {}),
+    ("le-written",
+     "do i = 1, 5\n le(i, 2) = i*3\n a(i) = le(i, 2) + le(2, i)\nenddo", {}),
+]
+
+
+EDGE_NESTS = CALL_NESTS + [
     ("negstep",
      "do i = 10, 1, -3\n do j = i, 1, -1\n  a(i,j) += i*j\n enddo\nenddo",
      {}),
@@ -164,7 +192,7 @@ EDGE_NESTS = [
 @pytest.mark.parametrize("tag,src,symbols", EDGE_NESTS,
                          ids=[e[0] for e in EDGE_NESTS])
 def test_edge_nests_differential(tag, src, symbols, schedule):
-    nest = parse_nest(src)
+    nest = src if isinstance(src, LoopNest) else parse_nest(src)
     rng = random.Random(hash(tag) & 0xFFFF)
     names = CompiledNest(nest)._base_arrays
     arrays = rand_arrays(names, max(1, nest.depth), rng)
@@ -209,6 +237,20 @@ def test_funcs_and_runtime_array_shadowing():
         assert_engines_agree(nest, {"f": shadow}, {}, schedule, funcs=funcs)
         assert_untraced_agree(nest, {"f": shadow}, {}, schedule,
                               funcs=funcs)
+
+
+def test_runtime_array_shadows_a_builtin():
+    """An array the caller binds as ``le`` is read where ``le(i, j)``
+    would otherwise compare, as the interpreter resolves it."""
+    nest = parse_nest("do i = 1, 4\n do j = 1, 4\n  a(i, j) = le(i, j)\n"
+                      " enddo\nenddo")
+    shadow = Array(5, "le")
+    shadow[(2, 3)] = 99
+    for schedule in SCHEDULES:
+        assert_engines_agree(nest, {"le": shadow}, {}, schedule)
+        assert_untraced_agree(nest, {"le": shadow}, {}, schedule)
+    got = CompiledNest(nest).run({"le": shadow}).arrays["a"]
+    assert got[(2, 3)] == 99 and got[(1, 1)] == 5
 
 
 def test_inputs_not_mutated():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import parse_steps
+from repro.core.spec import parse_steps
 from repro.deps.analysis import analyze
 from repro.ir import parse_nest
 from repro.runtime import (

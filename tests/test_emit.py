@@ -16,8 +16,10 @@ from repro.ir import parse_nest
 from repro.ir.emit import emit_c
 from repro.runtime import Array, emit_python, run_nest
 from tests.conftest import random_array_2d
+from tests.test_compiled import CALL_NESTS, rand_arrays
 from tests.test_corpus import CORPUS, load_case
-from repro.cli import parse_steps
+from repro.core.spec import parse_steps
+from repro.ir.loopnest import LoopNest
 
 
 def corpus_output(path):
@@ -67,6 +69,16 @@ class TestEmitC:
         nest = parse_nest("do i = 1, n\n if (b(i) > 0) a(i) = 1\nenddo")
         src = emit_c(nest)
         assert "if ((B(i) > 0))" in src
+
+    def test_call_rule(self):
+        """An array the nest writes shadows the builtin of its name; a
+        relational name at another arity, and ``ne``, are arrays."""
+        nest = parse_nest("do i = 1, 5\n le(i, 2) = i\n"
+                          " a(i) = le(i, 2) + ge(i, 1) + lt(i) + ne(i, 2)\n"
+                          "enddo")
+        src = emit_c(nest)
+        assert ("A(i) = ((i >= 1) + LE(i, 2) + LT(i) + NE(i, 2));"
+                in src)
 
     @pytest.mark.parametrize("stem", ["wavefront_parallel",
                                       "stripmine_then_parallel"])
@@ -191,6 +203,21 @@ class TestEmitPython:
         arrays = _dict_arrays("a")
         fn(arrays, {})
         assert set(arrays["a"]) == {(2,), (4,), (6,)}
+
+    @pytest.mark.parametrize("tag,src,symbols", CALL_NESTS,
+                             ids=[c[0] for c in CALL_NESTS])
+    def test_call_rule_matches_interpreter(self, tag, src, symbols):
+        """The module follows the interpreter's call rule: which calls
+        are builtins, which are arrays."""
+        nest = src if isinstance(src, LoopNest) else parse_nest(src)
+        inputs = rand_arrays(nest.array_names(), nest.depth,
+                             random.Random(tag))
+        expected = run_nest(nest, inputs, symbols=symbols).arrays
+        arrays = {name: defaultdict(int, arr.data)
+                  for name, arr in inputs.items()}
+        compile_module(nest)(arrays, symbols)
+        for name, arr in expected.items():
+            assert Array(0, name, dict(arrays[name])) == arr, name
 
     @pytest.mark.parametrize("bsize", [2, 3])
     def test_compiled_blocked_matmul(self, matmul_nest, bsize):

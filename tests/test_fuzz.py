@@ -87,7 +87,7 @@ def test_inner_index_in_bound_is_a_parse_error():
 @given(st.text(alphabet=list("interchange skew block coalesce(),;0123456789"),
                max_size=60))
 def test_cli_spec_never_crashes(spec):
-    from repro.cli import SpecError, parse_steps
+    from repro.core.spec import SpecError, parse_steps
     from repro.util.errors import ReproError as RE
 
     try:

@@ -73,6 +73,17 @@ class TestRanking:
         out = T.apply(matmul_nest, deps)
         assert out.indices[-1] == "j"
 
+    def test_references_follow_the_call_rule(self):
+        """Builtin calls cost nothing; a relational name at another arity,
+        ``ne`` and a read-only array each cost like an array."""
+        def cost(rhs):
+            nest = parse_nest(f"do i = 1, n\n do j = 1, n\n  a(j) = {rhs}\n"
+                              " enddo\nenddo")
+            return loop_cost(nest, "i", line_elements=8)
+
+        assert cost("le(i, j) + abs(i) + sgn(j)") == 0.0
+        assert cost("le(i)") == cost("ne(j, i)") == cost("b(i)") == 0.125
+
     def test_identity_when_already_best(self):
         nest = parse_nest("""
         do i = 1, n

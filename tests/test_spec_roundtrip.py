@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.cli import parse_steps
+from repro.core.spec import parse_steps
 from repro.core import (
     Block,
     Coalesce,

@@ -21,8 +21,8 @@ import pytest
 
 numpy = pytest.importorskip("numpy")
 
-from repro.expr.nodes import Call, children  # noqa: E402
-from repro.ir.loopnest import ArrayRef, Assign, If, InitStmt  # noqa: E402
+from repro.expr.nodes import Call, subexpressions  # noqa: E402
+from repro.ir.loopnest import LoopNest  # noqa: E402
 from repro.ir.parser import parse_nest  # noqa: E402
 from repro.runtime import Array, CompiledNest, Interpreter  # noqa: E402
 from repro.runtime.interpreter import Schedule  # noqa: E402
@@ -33,6 +33,7 @@ from repro.runtime.vectorized import (  # noqa: E402
     run_vectorized,
 )
 from repro.util.errors import ReproError  # noqa: E402
+from tests.test_compiled import CALL_NESTS  # noqa: E402
 
 EXAMPLES = sorted(glob.glob(
     os.path.join(os.path.dirname(__file__), "..", "examples", "loops",
@@ -43,38 +44,16 @@ SCHEDULE_IDS = ["seq", "reverse", "shuffle"]
 
 
 def array_ranks(nest):
-    """Observed subscript arity per array name (targets and reads)."""
+    """Observed subscript arity per array name (bounds, then accesses)."""
     ranks = {}
     names = CompiledNest(nest)._base_arrays
-
-    def scan_expr(e):
-        if isinstance(e, Call) and e.func in names:
-            ranks.setdefault(e.func, len(e.args))
-        for child in children(e):
-            scan_expr(child)
-
-    def scan_ref(ref):
-        if isinstance(ref, ArrayRef):
-            ranks.setdefault(ref.name, len(ref.subscripts))
-            for sub in ref.subscripts:
-                scan_expr(sub)
-
     for lp in nest.loops:
         for e in (lp.lower, lp.upper, lp.step):
-            scan_expr(e)
-    for stmt in nest.body:
-        if isinstance(stmt, Assign):
-            scan_ref(stmt.target)
-            scan_expr(stmt.expr)
-        elif isinstance(stmt, If):
-            scan_expr(stmt.cond)
-            for inner in stmt.then:
-                scan_ref(inner.target)
-                scan_expr(inner.expr)
-        elif isinstance(stmt, InitStmt):
-            scan_expr(stmt.expr)
-    for init in nest.inits:
-        scan_expr(init.expr)
+            for c in subexpressions(e):
+                if isinstance(c, Call) and c.func in names:
+                    ranks.setdefault(c.func, len(c.args))
+    for access in nest.accesses(names):
+        ranks.setdefault(access.array, len(access.subscripts))
     for nm in names:
         ranks.setdefault(nm, max(1, nest.depth))
     return ranks
@@ -140,7 +119,7 @@ def test_examples_differential(path, schedule):
 #: The compiled suite's edge bank plus vectorization-specific shapes:
 #: carried innermost dependences, non-affine subscripts, provably
 #: disjoint in-place shifts, reductions, statement fission.
-EDGE_NESTS = [
+EDGE_NESTS = CALL_NESTS + [
     ("negstep",
      "do i = 10, 1, -3\n do j = i, 1, -1\n  a(i,j) += i*j\n enddo\nenddo",
      {}),
@@ -183,7 +162,7 @@ EDGE_NESTS = [
 @pytest.mark.parametrize("tag,src,symbols", EDGE_NESTS,
                          ids=[e[0] for e in EDGE_NESTS])
 def test_edge_nests_differential(tag, src, symbols, schedule):
-    nest = parse_nest(src)
+    nest = src if isinstance(src, LoopNest) else parse_nest(src)
     rng = random.Random(hash(tag) & 0xFFFF)
     arrays = rand_arrays(nest, rng)
     assert_final_arrays_agree(nest, arrays, symbols, schedule)
@@ -321,6 +300,16 @@ def test_runtime_array_shadows_function_delegates():
     for schedule in SCHEDULES:
         assert_final_arrays_agree(nest, {"f": shadow}, {}, schedule,
                                   funcs=funcs)
+
+
+def test_runtime_array_shadows_builtin_delegates():
+    nest = parse_nest("do i = 1, 4\n do j = 1, 4\n  a(i, j) = le(i, j)\n"
+                      " enddo\nenddo")
+    shadow = Array(5, "le")
+    shadow[(2, 3)] = 99
+    for schedule in SCHEDULES:
+        vec = assert_final_arrays_agree(nest, {"le": shadow}, {}, schedule)
+        assert vec.fallback_runs == 1
 
 
 # ---------------------------------------------------------------------------
