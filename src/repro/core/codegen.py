@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from repro.expr.nodes import Call, free_vars, subexpressions
-from repro.ir.loopnest import Assign, InitStmt, LoopNest
+from repro.ir.loopnest import InitStmt, LoopNest
 
 
 def collect_taken(nest: LoopNest) -> Set[str]:
@@ -20,17 +19,9 @@ def collect_taken(nest: LoopNest) -> Set[str]:
     callees of every expression it evaluates, and the arrays and scalars
     it assigns.  Fresh names generated during code generation must avoid
     all of them."""
-    taken = set(nest.indices)
-    for _, stmt in nest.statements():
-        if isinstance(stmt, Assign):
-            taken.add(stmt.target.name)
-        elif isinstance(stmt, InitStmt):
-            taken.add(stmt.var)
-    for e in nest.expressions():
-        taken |= free_vars(e)
-        taken.update(c.func for c in subexpressions(e)
-                     if isinstance(c, Call))
-    return taken
+    return (set(nest.indices) | nest.variables()
+            | {f for f, _ in nest.calls()}
+            | nest.written_names() | nest.defined_names())
 
 
 def assemble_nest(nest: LoopNest, final_loops: Sequence,
