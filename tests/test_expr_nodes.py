@@ -14,6 +14,7 @@ from repro.expr.nodes import (
     Var,
     abs_,
     add,
+    builtin,
     call,
     ceildiv,
     const,
@@ -26,6 +27,7 @@ from repro.expr.nodes import (
     neg,
     sgn,
     sub,
+    subexpressions,
     substitute,
     to_str,
     var,
@@ -185,6 +187,34 @@ class TestCalls:
     def test_contains_call_nested(self):
         assert contains_call(add(i, call("f", j)))
         assert not contains_call(add(i, j))
+
+    def test_subexpressions_pre_order(self):
+        e = call("f", call("g", i), j)
+        assert [to_str(x) for x in subexpressions(e)] == [
+            "f(g(i), j)", "g(i)", "i", "j"]
+
+
+class TestBuiltins:
+    """One table decides which calls are builtins, at which arity."""
+
+    def test_rule(self):
+        assert builtin("le", 2).infix == "<="
+        assert builtin("abs", 1) and builtin("sgn", 3)
+        for func, arity in (("le", 1), ("eq", 3), ("ne", 2), ("f", 1)):
+            assert builtin(func, arity) is None
+
+    def test_folding_uses_the_first_argument(self):
+        assert call("abs", -3, 5) == Const(3)
+        assert call("sgn", -4, 7) == Const(-1)
+        assert to_str(call("le", 1, 2)) == "le(1, 2)"  # a guard stays
+
+    def test_evaluate_reads_the_table(self):
+        env = {"i": 1, "j": 2}
+        assert evaluate(call("le", i, j), env) == 1
+        assert evaluate(call("gt", i, j), env) == 0
+        assert evaluate(call("abs", i - j, j), env) == 1
+        with pytest.raises(NameError):
+            evaluate(call("le", i), env)
 
 
 class TestFreeVarsSubstitute:
