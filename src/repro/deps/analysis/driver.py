@@ -6,9 +6,9 @@ Pipeline (standard practice per the paper's references [4, 15, 10, 6, 12]):
    entries are iteration-number differences, Def. 3.3);
 2. collect array accesses, the inits' before the body's, and form
    candidate pairs (same array, at least one write); a subscript that
-   names an init variable reads its folded definition
-   (:meth:`~repro.ir.loopnest.LoopNest.folded_inits`), so ``it = kk;
-   b(it)`` is analysed as ``b(kk)``;
+   names a scalar with one straight-line definition reads it folded
+   (:meth:`~repro.ir.loopnest.LoopNest.scalar_definitions`), so ``it = kk;
+   b(it)`` is analysed as ``b(kk)``, and any other scalar is opaque;
 3. per pair, build the affine subscript equalities and loop-bound
    constraints over the 2n iteration variables (plus symbolic
    invariants as free unknowns);
@@ -100,7 +100,7 @@ from repro.expr.nodes import (
     substitute,
     var,
 )
-from repro.ir.loopnest import InitStmt, LoopNest
+from repro.ir.loopnest import LoopNest
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
 
@@ -241,11 +241,11 @@ class DependenceAnalyzer:
     def _prepare(self) -> None:
         nest = self.nest
         self.index_names = list(nest.indices)
-        folded = nest.folded_inits()
+        defs = nest.scalar_definitions()
         # A name the inits read that nothing assigns is as invariant as a
         # bound's symbol.
         self.invariants = sorted(nest.invariants() | (
-            set().union(*map(free_vars, folded.values()))
+            set().union(*map(free_vars, defs.values()))
             - set(self.index_names) - nest.defined_names()))
         # Normalize constant non-unit steps: x = l + s*t.
         self.rewrite: Dict[str, Expr] = {}
@@ -278,16 +278,14 @@ class DependenceAnalyzer:
                 self.opaque_levels.add(k)
                 bounds.append(None)
         self._bounds = bounds
-        # A subscript reads the init variables after the inits ran, so it
-        # sees their folded definitions.  A scalar the body assigns (under
-        # a guard) may hold an earlier iteration's value: opaque.
+        # A subscript that reads a scalar with one straight-line
+        # definition sees that definition folded; any other scalar may
+        # hold another definition's or an earlier iteration's value: opaque.
         self._subscript_rewrite = dict(self.rewrite)
-        for name, value in folded.items():
-            self._subscript_rewrite[name] = substitute(value, self.rewrite)
-        for pos, stmt in nest.statements():
-            if pos >= 0 and isinstance(stmt, InitStmt):
-                self._subscript_rewrite[stmt.var] = call("opaque$scalar",
-                                                         var(stmt.var))
+        for name in nest.defined_names():
+            self._subscript_rewrite[name] = (
+                substitute(defs[name], self.rewrite) if name in defs
+                else call("opaque$scalar", var(name)))
         # Names _affine_dict leaves bare that _suffix_var re-suffixes.
         self._iteration_vars = index_set | set(self.norm_names)
         self._direction_rows = {nm: _direction_rows(nm)

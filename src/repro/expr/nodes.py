@@ -643,9 +643,7 @@ def subexpressions(e: Expr) -> Iterator[Expr]:
 
 def contains_call(e: Expr) -> bool:
     """True iff *e* contains any opaque :class:`Call` node."""
-    if isinstance(e, Call):
-        return True
-    return any(contains_call(c) for c in children(e))
+    return any(isinstance(c, Call) for c in subexpressions(e))
 
 
 def is_constant(e: Expr) -> bool:

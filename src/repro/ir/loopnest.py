@@ -353,14 +353,34 @@ class LoopNest:
             f for f, k in self.calls()
             if f not in funcs and builtin(f, k) is None}
 
-    def folded_inits(self) -> Dict[str, Expr]:
-        """Each init variable's value once the inits have run, over the
-        loop indices and invariants: the inits folded in order, each
-        seeing the definitions before it (a redefinition wins)."""
-        mapping: Dict[str, Expr] = {}
-        for init in self.inits:
-            mapping[init.var] = substitute(init.expr, mapping)
-        return mapping
+    def scalar_definitions(self) -> Dict[str, Expr]:
+        """The scalars every read of which sees this iteration's one
+        straight-line definition, each folded over the loop indices, the
+        invariants and the definitions before it.
+
+        A scalar qualifies when a single unguarded init statement assigns
+        it, it is no loop index, nothing reads it before that statement
+        (its own right-hand side included) and that statement reads no
+        scalar that failed to qualify.  Any other scalar the nest assigns
+        may hold another definition's or another iteration's value at a
+        read, so it is left out."""
+        defs: Dict[str, Expr] = {}
+        left_out: Set[str] = set()
+        read: Set[str] = set()
+        for pos, stmt in self.statements():
+            for e in stmt.expressions():
+                read |= free_vars(e)
+            if not isinstance(stmt, InitStmt):
+                continue
+            name = stmt.var
+            if (name in self.indices or name in defs or name in left_out
+                    or name in read or free_vars(stmt.expr) & left_out
+                    or (pos >= 0 and self.body[pos] is not stmt)):
+                defs.pop(name, None)
+                left_out.add(name)
+            else:
+                defs[name] = substitute(stmt.expr, defs)
+        return defs
 
     def accesses(self, arrays: Optional[Iterable[str]] = None
                  ) -> List[ArrayAccess]:

@@ -61,8 +61,8 @@ def loop_cost(nest: LoopNest, innermost: str,
     innermost loop index (references deduplicated per array+subscripts).
 
     The references are every array access under the interpreter's rule
-    (:meth:`~repro.ir.loopnest.LoopNest.array_names`): read-only arrays
-    and indexed lookups cost like arrays here."""
+    (:meth:`~repro.ir.loopnest.LoopNest.array_names`), the inits' reads
+    included: read-only arrays and indexed lookups cost like arrays here."""
     seen = set()
     total = 0.0
     for access in nest.accesses():

@@ -330,44 +330,20 @@ class _Planner:
     # -- init-statement folding --------------------------------------------
 
     def _fold_inits(self) -> Dict[int, Tuple[Tuple[Expr, ...], Expr]]:
-        """Substitute transformation inits and straight-line body inits
-        into each Assign, returning per-position (target subs, expr).
+        """Substitute the nest's straight-line scalar definitions into
+        each Assign, returning per-position (target subs, expr).
 
-        Scalar flow beyond straight-line (a variable defined under an
-        ``if``, redefined, shadowing a loop index, or used before its
-        definition) bails out to the compiled engine for the whole run.
+        Any other scalar flow (a variable defined under an ``if``,
+        redefined, shadowing a loop index, or read before its definition)
+        bails out to the compiled engine for the whole run.
         """
         nest = self.nest
-        indices = set(nest.indices)
-        init_vars = [init.var for init in nest.inits]
-        if indices & set(init_vars) or len(set(init_vars)) < len(init_vars):
-            self._bail("init-shadowing")
-        mapping = nest.folded_inits()
-
-        body_defs: Set[str] = set()
-        for pos, s in nest.statements():
-            if pos >= 0 and isinstance(s, InitStmt):
-                if nest.body[pos] is not s:
-                    self._bail("guarded-init")
-                if s.var in indices or s.var in mapping or s.var in body_defs:
-                    self._bail("init-shadowing")
-                body_defs.add(s.var)
-
-        folded: Dict[int, Tuple[Tuple[Expr, ...], Expr]] = {}
-        for pos, s in nest.statements():
-            if pos < 0:
-                continue
-            if any(free_vars(e) & body_defs for e in s.expressions()):
-                self._bail("use-before-init")
-            if isinstance(s, InitStmt):
-                mapping[s.var] = substitute(s.expr, mapping)
-                body_defs.discard(s.var)
-            elif isinstance(s, Assign) and nest.body[pos] is s:
-                folded[pos] = (
-                    tuple(substitute(x, mapping)
-                          for x in s.target.subscripts),
-                    substitute(s.expr, mapping))
-        return folded
+        defs = nest.scalar_definitions()
+        if nest.defined_names() - defs.keys():
+            self._bail("scalar-flow")
+        return {pos: (tuple(substitute(x, defs) for x in s.target.subscripts),
+                      substitute(s.expr, defs))
+                for pos, s in enumerate(nest.body) if isinstance(s, Assign)}
 
     # -- fission into independent statement groups --------------------------
 

@@ -3,8 +3,8 @@
 A nest's inits run at the top of every iteration (paper Section 2, item
 4(b)); a parsed nest puts its leading scalar assignments there too.  An
 array read in an init is an access like any other, so it takes part in
-dependence pairs, and a subscript that names an init variable reads its
-folded definition.  Every answer that folding narrows is checked here
+dependence pairs, and a subscript that names a scalar with one
+straight-line definition reads it folded; any other scalar is opaque.  Every answer that folding narrows is checked here
 against brute force: each pair of iterations that touch one element, one
 of them writing, must be ordered by the analysed dependence set
 (:func:`repro.runtime.oracle.check_dependence_order`).
@@ -79,6 +79,35 @@ def test_a_scalar_the_body_reassigns_stays_opaque():
     nest = parse_nest("do i = 1, n\n  t = i\n  if (i > 2) t = 1\n"
                       "  a(t) = a(t) + 1\nenddo")
     assert str(analyze(nest)) == "{(+)}"
+
+
+REDEFINED = ("do i = 2, n\n  t = i - 1\n  u = a(t)\n  t = i\n  a(i) = u\n"
+             "enddo")
+
+
+@pytest.mark.parametrize("src,expected", [
+    ("do i = 1, n\n  t = i - 1\n  u = t * 2\n  a(u) = 1\nenddo",
+     {"t": "i - 1", "u": "2*i - 2"}),
+    (REDEFINED, {"u": "a(i - 1)"}),
+    ("do i = 1, n\n  i = i + 1\n  t = i\n  a(t) = 1\nenddo", {}),
+    ("do i = 1, n\n  t = t + i\n  a(t) = 1\nenddo", {}),
+    ("do i = 1, n\n  t = i\n  if (i > 2) t = 1\n  a(t) = 1\nenddo", {}),
+], ids=["chain", "redefined", "shadows-index", "reads-itself", "guarded"])
+def test_scalar_definitions_leave_out_every_other_scalar(src, expected):
+    """Only a scalar with one unguarded definition, read after it, folds;
+    a definition reading a left-out scalar is left out too."""
+    defs = parse_nest(src).scalar_definitions()
+    assert {name: str(value) for name, value in defs.items()} == expected
+
+
+def test_a_scalar_the_inits_redefine_stays_opaque():
+    """``a(t)`` reads the first ``t``, ``i - 1``: a flow dependence at
+    distance 1 that folding ``t`` to its last definition would hide."""
+    nest = parse_nest(REDEFINED)
+    assert true_distances(nest, {"n": 6}) == {(1,)}
+    deps = analyze(nest)
+    assert_orders(deps, {(1,)})
+    assert not parse_steps("reverse(1)", 1).legality(nest, deps).legal
 
 
 class _Marking(Interpreter):

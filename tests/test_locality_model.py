@@ -75,7 +75,8 @@ class TestRanking:
 
     def test_references_follow_the_call_rule(self):
         """Builtin calls cost nothing; a relational name at another arity,
-        ``ne`` and a read-only array each cost like an array."""
+        ``ne`` and a read-only array each cost like an array, read in the
+        body or in a leading scalar assignment."""
         def cost(rhs):
             nest = parse_nest(f"do i = 1, n\n do j = 1, n\n  a(j) = {rhs}\n"
                               " enddo\nenddo")
@@ -83,6 +84,9 @@ class TestRanking:
 
         assert cost("le(i, j) + abs(i) + sgn(j)") == 0.0
         assert cost("le(i)") == cost("ne(j, i)") == cost("b(i)") == 0.125
+        init_read = parse_nest("do i = 1, n\n do j = 1, n\n  t = b(i)\n"
+                               "  a(j) = t\n enddo\nenddo")
+        assert loop_cost(init_read, "i", line_elements=8) == 0.125
 
     def test_identity_when_already_best(self):
         nest = parse_nest("""

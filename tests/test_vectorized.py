@@ -143,6 +143,8 @@ EDGE_NESTS = CALL_NESTS + [
      "+ eq(i,j)*100\n enddo\nenddo", {}),
     ("abs-sgn", "do i = -4, 4\n a(i) = abs(i) + sgn(i)*10\nenddo", {}),
     ("accum-init", "do i = 1, 6\n t = i*2\n a(t) += t\nenddo", {}),
+    ("redefined-init",
+     "do i = 2, 9\n t = i - 1\n u = a(t)\n t = i\n a(i) = u + 1\nenddo", {}),
     ("carried-innermost", "do i = 2, 9\n a(i) = a(i-1) + 1\nenddo", {}),
     ("nonaffine", "do i = 1, 8\n a(i*i) = i\nenddo", {}),
     ("indirect", "do i = 1, 8\n a(p(i)) += 1\nenddo", {}),
@@ -232,6 +234,15 @@ def test_bound_reading_array_falls_back_whole_run():
         s[(k,)] = k
     for schedule in SCHEDULES:
         assert_final_arrays_agree(nest, {"s": s}, {}, schedule)
+
+
+def test_scalar_flow_falls_back_whole_run():
+    """A scalar without one straight-line definition is not folded."""
+    nest = parse_nest("do i = 2, 9\n t = i - 1\n u = a(t)\n t = i\n"
+                      " a(i) = u + 1\nenddo")
+    assert VectorizedNest(nest).describe()["full_fallback"] == "scalar-flow"
+    once = parse_nest("do i = 1, 6\n t = i*2\n a(t) += t\nenddo")
+    assert VectorizedNest(once).describe()["full_fallback"] is None
 
 
 def test_tracing_request_delegates_with_full_trace_parity():
