@@ -35,6 +35,15 @@ Both only remove rows the remaining rows imply, so every solution set —
 hence every verdict, bound and projection — is unchanged; only the
 give-up behavior near the cap improves.
 
+The box test is public because it also decides most of the analyzer's
+queries before any elimination: :func:`box_of` reads the box of a
+row set and :func:`holds_on_box` tests one row against it.  When the
+box is empty the rows are infeasible; when every other row holds on
+it, the rows' solution set *is* the box, so its bounds are the ones
+:meth:`LinearSystem.bounds_of` would compute.  Bounds are ints where
+they are integers and exact :class:`~fractions.Fraction` values
+otherwise.
+
 Representation matters here: constraints are normalized to coprime
 *integer* coefficients on construction (any positive rational scaling
 preserves a ``>= 0`` constraint), which keeps the hot elimination loop
@@ -76,11 +85,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import (Container, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
 from repro.resilience import guards as _guards
+
+#: A variable bound: an int when it is one, otherwise the exact rational.
+Bound = Union[int, Fraction]
 
 
 class LinConstraint:
@@ -186,7 +198,7 @@ class LinearSystem:
 
     # -- building ----------------------------------------------------------
 
-    def add(self, coeffs: Dict[str, Fraction], const, *,
+    def add(self, coeffs: Dict[str, int], const, *,
             equality: bool = False) -> None:
         self.constraints.append(LinConstraint(coeffs, const, equality))
 
@@ -196,7 +208,7 @@ class LinearSystem:
 
     def add_le(self, coeffs, const) -> None:
         """``sum(coeffs) + const <= 0``."""
-        self.add({v: -c for v, c in coeffs.items()}, -Fraction(const))
+        self.add({v: -c for v, c in coeffs.items()}, -const)
 
     def add_eq(self, coeffs, const) -> None:
         self.add(coeffs, const, equality=True)
@@ -257,9 +269,10 @@ class LinearSystem:
         rows = self._reduce(frozenset(keep))
         return list(rows) if rows is not None else None
 
-    def bounds_of(self, name: str) -> Tuple[Optional[Fraction],
-                                            Optional[Fraction]]:
-        """(min, max) of variable *name* over the solution set.
+    def bounds_of(self, name: str) -> Tuple[Optional[Bound],
+                                            Optional[Bound]]:
+        """(min, max) of variable *name* over the solution set, each an
+        int when it is one and a :class:`~fractions.Fraction` otherwise.
 
         ``None`` means unbounded in that direction (or the system gave
         up).  An infeasible system returns ``(None, None)``; callers
@@ -268,15 +281,8 @@ class LinearSystem:
         rows = self._reduce((name,))
         if rows is None or rows is _INFEASIBLE:
             return None, None
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for c in rows:
-            a = c.coeffs[name]
-            bound = Fraction(-c.const, a)
-            if a > 0:  # name >= bound
-                lo = bound if lo is None else max(lo, bound)
-            else:      # name <= bound
-                hi = bound if hi is None else min(hi, bound)
+        lo, hi = box_of(rows)
+        lo, hi = lo.get(name), hi.get(name)
         if lo is not None and hi is not None and lo > hi:
             return None, None
         return lo, hi
@@ -321,39 +327,50 @@ def _drop_dominated(ineqs: Iterable[LinConstraint]) -> List[LinConstraint]:
     return list(best.values())
 
 
-def _drop_box_implied(ineqs: List[LinConstraint]) -> List[LinConstraint]:
-    """Drop every row over two or more variables that the system's
-    one-variable rows imply: its left-hand side is ``>= 0`` everywhere
-    in the box those rows bound.  The one-variable rows stay, so the
-    solution set is unchanged."""
-    lo: Dict[str, object] = {}
-    hi: Dict[str, object] = {}
+def box_of(ineqs: Iterable[LinConstraint]
+           ) -> Tuple[Dict[str, Bound], Dict[str, Bound]]:
+    """The box the one-variable ``>= 0`` rows of *ineqs* bound: per
+    variable, its greatest lower bound and its least upper bound (a
+    variable with no such row in a direction is absent from that
+    side's map)."""
+    lo: Dict[str, Bound] = {}
+    hi: Dict[str, Bound] = {}
     for c in ineqs:
         if len(c.coeffs) == 1:
             (v, a), = c.coeffs.items()
-            # The bound -const/a, kept an int when it is one.
+            # a*v + const >= 0: the bound -const/a, an int when it is one.
             b = -c.const // a if c.const % a == 0 else Fraction(-c.const, a)
             if a > 0:
                 if v not in lo or b > lo[v]:
                     lo[v] = b
             elif v not in hi or b < hi[v]:
                 hi[v] = b
+    return lo, hi
+
+
+def holds_on_box(row: LinConstraint, lo: Dict[str, Bound],
+                 hi: Dict[str, Bound]) -> bool:
+    """Whether the ``>= 0`` *row* holds everywhere in the box *lo*/*hi*
+    bound: its left-hand side's least value there is ``>= 0``.  False
+    when the box is open on a side the row needs."""
+    least = row.const
+    for v, a in row.coeffs.items():
+        b = (lo if a > 0 else hi).get(v)
+        if b is None:
+            return False
+        least += a * b
+    return least >= 0
+
+
+def _drop_box_implied(ineqs: List[LinConstraint]) -> List[LinConstraint]:
+    """Drop every row over two or more variables that the system's
+    one-variable rows imply (:func:`holds_on_box` on :func:`box_of`).
+    The one-variable rows stay, so the solution set is unchanged."""
+    lo, hi = box_of(ineqs)
     if not lo and not hi:
         return ineqs
-    out = []
-    for c in ineqs:
-        if len(c.coeffs) > 1:
-            least = c.const
-            for v, a in c.coeffs.items():
-                b = (lo if a > 0 else hi).get(v)
-                if b is None:
-                    break
-                least += a * b
-            else:
-                if least >= 0:
-                    continue
-        out.append(c)
-    return out
+    return [c for c in ineqs
+            if len(c.coeffs) < 2 or not holds_on_box(c, lo, hi)]
 
 
 def _cheapest_var(ineqs: Sequence[LinConstraint],

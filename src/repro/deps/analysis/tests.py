@@ -14,6 +14,16 @@ exact tier is rational Fourier–Motzkin in
 
 All three are *refutation* tests: "pass" means a dependence cannot be
 ruled out.
+
+Everything here is integer arithmetic: the analyzer's subscripts have
+integer coefficients (:func:`~repro.expr.nodes.linear_parts`), loop
+ranges and direction intervals are integers, and an :class:`Equality`
+built from :class:`~fractions.Fraction` coefficients is scaled once, on
+construction, to coprime integers.  A positive scale changes none of
+the three verdicts: the gcd of the scaled coefficients divides the
+scaled constant exactly when the original gcd divides the original
+constant, and a scaled interval contains zero exactly when the
+original does.
 """
 
 from __future__ import annotations
@@ -22,33 +32,47 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Optional, Tuple
 
-Coeffs = Dict[str, Fraction]
-Interval = Tuple[Optional[Fraction], Optional[Fraction]]  # None = infinite
+Coeffs = Dict[str, int]
+Interval = Tuple[Optional[int], Optional[int]]  # None = infinite
 
 
 class Equality:
     """``sum(coeffs[v] * v) + const == 0`` over suffixed iteration
-    variables (``i$1``/``i$2``) and invariant symbols."""
+    variables (``i$1``/``i$2``) and invariant symbols, with integer
+    coefficients: a non-integer input is scaled once to coprime
+    integers (see the module docstring for why no verdict moves)."""
 
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs: Coeffs, const: Fraction):
-        self.coeffs = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
-        self.const = Fraction(const)
+    def __init__(self, coeffs: Dict[str, object], const: object):
+        coeffs = {v: c for v, c in coeffs.items() if c != 0}
+        if not all(type(c) is int for c in (const, *coeffs.values())):
+            coeffs, const = _coprime_ints(coeffs, const)
+        self.coeffs: Coeffs = coeffs
+        self.const: int = const
 
     def __repr__(self):
         terms = " + ".join(f"{c}*{v}" for v, c in sorted(self.coeffs.items()))
         return f"Equality({terms} + {self.const} == 0)"
 
 
+def _coprime_ints(coeffs: Dict[str, object], const: object
+                  ) -> Tuple[Coeffs, int]:
+    """*coeffs* and *const*, rationals, times the one positive scale
+    that makes them coprime integers."""
+    values = [Fraction(c) for c in (const, *coeffs.values())]
+    scale = lcm(*(x.denominator for x in values))
+    ints = [int(x * scale) for x in values]
+    g = gcd(*ints) or 1
+    return ({v: x // g for v, x in zip(coeffs, ints[1:])}, ints[0] // g)
+
+
 def gcd_test(eq: Equality) -> bool:
     """True when integer solutions may exist (pass), False = refuted."""
-    scale = lcm(eq.const.denominator,
-                *(c.denominator for c in eq.coeffs.values()))
-    g = gcd(*(int(c * scale) for c in eq.coeffs.values()))
+    g = gcd(*eq.coeffs.values())
     if g == 0:
         return eq.const == 0
-    return int(eq.const * scale) % g == 0
+    return eq.const % g == 0
 
 
 def _iv_add(a: Interval, b: Interval) -> Interval:
@@ -57,9 +81,9 @@ def _iv_add(a: Interval, b: Interval) -> Interval:
     return lo, hi
 
 
-def _iv_scale(a: Interval, k: Fraction) -> Interval:
+def _iv_scale(a: Interval, k: int) -> Interval:
     if k == 0:
-        return Fraction(0), Fraction(0)
+        return 0, 0
     lo, hi = a
     if k > 0:
         return (None if lo is None else lo * k,
@@ -78,9 +102,9 @@ def _iv_intersect(a: Interval, b: Interval) -> Optional[Interval]:
 
 #: Direction codes to delta intervals (delta = x2 - x1).
 DIRECTION_INTERVALS: Dict[str, Interval] = {
-    "+": (Fraction(1), None),
-    "0": (Fraction(0), Fraction(0)),
-    "-": (None, Fraction(-1)),
+    "+": (1, None),
+    "0": (0, 0),
+    "-": (None, -1),
     "*": (None, None),
 }
 
@@ -100,19 +124,19 @@ class BanerjeeForm:
     __slots__ = ("fixed", "deltas")
 
     def __init__(self, eq: Equality, var_ranges: Dict[str, Interval]):
-        combined: Dict[str, Fraction] = {}
-        delta_coeffs: Dict[str, Fraction] = {}
-        extra: Dict[str, Fraction] = {}
+        combined: Coeffs = {}
+        delta_coeffs: Coeffs = {}
+        extra: Coeffs = {}
         for v, c in eq.coeffs.items():
             if v.endswith("$1"):
                 base = v[:-2]
-                combined[base] = combined.get(base, Fraction(0)) + c
+                combined[base] = combined.get(base, 0) + c
             elif v.endswith("$2"):
                 base = v[:-2]
-                combined[base] = combined.get(base, Fraction(0)) + c
-                delta_coeffs[base] = delta_coeffs.get(base, Fraction(0)) + c
+                combined[base] = combined.get(base, 0) + c
+                delta_coeffs[base] = delta_coeffs.get(base, 0) + c
             else:
-                extra[v] = extra.get(v, Fraction(0)) + c
+                extra[v] = extra.get(v, 0) + c
 
         total: Interval = (eq.const, eq.const)
         for base, c in combined.items():
