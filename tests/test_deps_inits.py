@@ -4,7 +4,10 @@ A nest's inits run at the top of every iteration (paper Section 2, item
 4(b)); a parsed nest puts its leading scalar assignments there too.  An
 array read in an init is an access like any other, so it takes part in
 dependence pairs, and a subscript that names a scalar with one
-straight-line definition reads it folded; any other scalar is opaque.  Every answer that folding narrows is checked here
+straight-line definition reads it folded.  Any other scalar is opaque
+in a subscript, and its writes and reads are zero-subscript accesses
+whose pairs take the conservative cover: it may carry a value from one
+iteration into another.  Every answer that folding narrows is checked here
 against brute force: each pair of iterations that touch one element, one
 of them writing, must be ordered by the analysed dependence set
 (:func:`repro.runtime.oracle.check_dependence_order`).
@@ -16,7 +19,9 @@ import pytest
 
 from repro.core.sequence import Transformation
 from repro.core.spec import parse_steps
-from repro.deps.analysis import analyze
+from repro import obs
+from repro.deps.analysis import DependenceAnalyzer, analyze
+from repro.deps.analysis.driver import _conservative_cover
 from repro.deps.graph import DependenceGraph
 from repro.expr.nodes import Const, evaluate
 from repro.fuzz.gen import CaseGen
@@ -108,6 +113,55 @@ def test_a_scalar_the_inits_redefine_stays_opaque():
     deps = analyze(nest)
     assert_orders(deps, {(1,)})
     assert not parse_steps("reverse(1)", 1).legality(nest, deps).legal
+
+
+GUARDED = "do i = 1, 4\n  if (i == 1) t = 5\n  a(i) = t\nenddo"
+
+
+def test_a_guarded_scalar_carries_a_dependence():
+    """``t`` keeps iteration 1's value in every later iteration, so the
+    read of it depends on that write: the nest cannot be reversed."""
+    nest = parse_nest(GUARDED)
+    obs.disable()
+    obs.get_metrics().clear()
+    obs.enable()
+    try:
+        reports = DependenceAnalyzer(nest).explain()
+        counters = obs.get_metrics().snapshot()["counters"]
+    finally:
+        obs.disable()
+        obs.get_metrics().clear()
+    scalar = [r for r in reports if r.src.array == "t"]
+    assert [(repr(r.src), repr(r.dst)) for r in scalar] == [
+        ("W:t()@stmt0", "W:t()@stmt0"), ("W:t()@stmt0", "R:t()@stmt1"),
+        ("R:t()@stmt1", "W:t()@stmt0")]
+    assert all(r.conservative for r in scalar)
+    assert counters["deps.pairs_conservative"] == len(scalar)
+    deps = analyze(nest)
+    assert str(deps) == "{(+)}"
+    assert not parse_steps("reverse(1)", 1).legality(nest, deps).legal
+
+
+@pytest.mark.parametrize("src", [
+    "do i = 1, n\n  t = i\n  if (i > 2) t = 1\n  b(i) = t\nenddo",
+    "do i = 1, n\n  t = t + i\n  a(i) = 1\nenddo",
+    "do i = 1, n\n  do j = 1, n\n    a(i, j) = t\n"
+    "    if (j > 1) t = i\n  enddo\nenddo",
+], ids=["reassigned", "reads-itself", "read-before-guarded"])
+def test_every_unfolded_scalar_takes_the_conservative_cover(src):
+    nest = parse_nest(src)
+    unfolded = nest.defined_names() - nest.scalar_definitions().keys()
+    assert unfolded
+    reports = DependenceAnalyzer(nest).explain()
+    pairs = [r for r in reports if r.src.array in unfolded]
+    assert pairs and all(r.conservative and not r.src.subscripts
+                         for r in pairs)
+    assert set(analyze(nest)) >= set(_conservative_cover(nest.depth))
+
+
+def test_a_folded_scalar_gets_no_scalar_access():
+    reports = DependenceAnalyzer(parse_nest(INIT_READ)).explain()
+    assert {r.src.array for r in reports} == {"a"}
 
 
 class _Marking(Interpreter):
