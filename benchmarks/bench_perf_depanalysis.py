@@ -4,7 +4,9 @@ Precision and speed of the analyzer when the refutation ladder stops at
 GCD, Banerjee, or exact Fourier–Motzkin.  Expected shape: gcd is
 fastest and coarsest (often the full lex-positive cover), banerjee
 removes range-infeasible directions, fm is exact on coupled subscripts
-and the slowest.
+and the slowest.  This module reports and times; the precision gates
+(deeper tiers never lose precision, the coupled and transpose cases)
+are tier-1 tests in ``tests/test_analysis.py``.
 """
 
 import pytest
@@ -81,8 +83,6 @@ def test_precision_summary(report, benchmark):
         ]
         lines.append(f"{case:10} | {weights[0]:>5} | {weights[1]:>8} | "
                      f"{weights[2]:>4}")
-        # Deeper tiers never lose precision.
-        assert weights[0] >= weights[1] >= weights[2]
     report("Perf-5: precision weight by tier (lower = sharper)",
            "\n".join(lines))
     nest = parse_nest(CASES["matmul"])
@@ -94,9 +94,6 @@ def test_fm_exactness_on_coupled(report, benchmark):
     case; the interval (Banerjee) tier refutes it, since both dimensions
     constrain the same delta."""
     nest = parse_nest(CASES["coupled"])
-    assert analyze(nest, level="fm").is_empty()
-    assert analyze(nest, level="banerjee").is_empty()
-    assert not analyze(nest, level="gcd").is_empty()
     report("Perf-5: coupled subscripts",
            "gcd keeps a false dependence; banerjee/fm prove independence")
     benchmark(analyze, nest, None, "fm")
@@ -109,8 +106,6 @@ def test_fm_only_precision_on_transpose(report, benchmark):
     nest = parse_nest(CASES["transpose"])
     fm = analyze(nest, level="fm")
     banerjee = analyze(nest, level="banerjee")
-    assert _tuple_weight(fm) < _tuple_weight(banerjee)
-    assert str(fm) == "{(+, -)}"
     report("Perf-5: transpose",
            f"banerjee: {banerjee}\nfm:       {fm}")
     benchmark(analyze, nest, None, "fm")
