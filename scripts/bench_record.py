@@ -10,8 +10,9 @@ to ``BENCH_<workload>.json`` at the repo root::
 Every run lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes.  A
 record holds the commit (git HEAD), the seeds, the median, q1 and q3 over
 the seeds of every ``end_to_end`` metric ``BENCHMARK.json`` declares,
-every per-seed value, and the nonzero ``*.busy_s`` layers of one traced
-run on the first seed.
+every per-seed value, and every ``per_layer`` metric it declares (busy
+times, counts and shares, zeros included) from one traced run on the
+first seed.
 
 ``--baseline DIR`` measures a second checkout too (a ``git archive`` of
 the parent, say): one pair of runs per seed, alternating which side runs
@@ -64,13 +65,14 @@ def commit_of(checkout: str) -> Optional[str]:
     return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
-def benchmark() -> Tuple[float, List[str]]:
+def benchmark() -> Tuple[float, List[str], List[str]]:
     """The run length ``BENCHMARK.json`` fixes for every workload, and
-    the names of its end-to-end metrics."""
+    the names of its end-to-end and of its per-layer metrics."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         doc = json.load(fh)
     return (float(doc["run_seconds"]),
-            [metric["name"] for metric in doc["end_to_end"]])
+            [metric["name"] for metric in doc["end_to_end"]],
+            [metric["name"] for metric in doc.get("per_layer", ())])
 
 
 def quartiles(values: List[float]) -> Dict[str, float]:
@@ -82,8 +84,8 @@ def quartiles(values: List[float]) -> Dict[str, float]:
 
 
 def record(commit: Optional[str], workload: str, seeds: List[int],
-           seconds: float, names: List[str], runs: List[Dict[str, float]],
-           traced: Dict[str, float]) -> Dict:
+           seconds: float, names: List[str], layers: List[str],
+           runs: List[Dict[str, float]], traced: Dict[str, float]) -> Dict:
     return {
         "commit": commit,
         "workload": workload,
@@ -96,9 +98,8 @@ def record(commit: Optional[str], workload: str, seeds: List[int],
                                 for name in names}}
                  for s, r in zip(seeds, runs)],
         "traced": {"seed": seeds[0],
-                   **{name: round(value, 4)
-                      for name, value in sorted(traced.items())
-                      if name.endswith(".busy_s") and value}},
+                   **{name: round(traced[name], 4)
+                      for name in sorted(layers) if name in traced}},
     }
 
 
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
                         help="the baseline's commit (default: its git HEAD)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    seconds, names = benchmark()
+    seconds, names, layers = benchmark()
     sides = [(args.baseline, args.baseline_commit)] if args.baseline else []
     sides.append((ROOT, None))
     runs: List[List[Dict[str, float]]] = [[] for _ in sides]
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
     for k, (checkout, commit) in enumerate(sides):
         doc["records"].append(record(commit or commit_of(checkout),
                                      args.workload, seeds, seconds,
-                                     names, runs[k], traced[k]))
+                                     names, layers, runs[k], traced[k]))
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -23,7 +23,12 @@ def bench_record(monkeypatch, tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 7,
         "end_to_end": [{"name": "ops_per_s"}, {"name": "latency_p50_ms"},
-                       {"name": "ok_share"}]}))
+                       {"name": "ok_share"}],
+        "per_layer": [{"name": "runtime.compiled.busy_s"},
+                      {"name": "deps.analysis.busy_s"},
+                      {"name": "deps.analysis.deps_out"},
+                      {"name": "core.codegen.errors"},
+                      {"name": "service.run.calls"}]}))
     monkeypatch.setattr(module, "ROOT", str(tmp_path))
     monkeypatch.setattr(module, "commit_of",
                         lambda checkout: f"head of {checkout}")
@@ -48,7 +53,10 @@ def test_alternating_records_appended(bench_record, monkeypatch, tmp_path):
                 "latency_p50_ms": 10.0, "ok_share": 1.0,
                 "peak_rss_mb": 50.0,
                 "runtime.compiled.busy_s": 1.5 if trace else 0.0,
-                "deps.analysis.busy_s": 0.0}
+                "deps.analysis.busy_s": 0.0,
+                "deps.analysis.deps_out": 1017.0 if trace else 0.0,
+                "core.codegen.errors": 0,
+                "bench.undeclared_s": 9.0}
 
     monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
     out = tmp_path / "BENCH_execute.json"
@@ -76,7 +84,12 @@ def test_alternating_records_appended(bench_record, monkeypatch, tmp_path):
                                       "ok_share"}
     assert change["runs"][0] == {"seed": 1, "ops_per_s": 2.0,
                                  "latency_p50_ms": 10.0, "ok_share": 1.0}
-    assert change["traced"] == {"seed": 1, "runtime.compiled.busy_s": 1.5}
+    # Every per-layer metric BENCHMARK.json declares that the traced run
+    # reports, counts and zeros included; nothing undeclared.
+    assert change["traced"] == {
+        "seed": 1, "runtime.compiled.busy_s": 1.5,
+        "deps.analysis.busy_s": 0.0, "deps.analysis.deps_out": 1017.0,
+        "core.codegen.errors": 0}
 
 
 def test_failed_run_writes_nothing(bench_record, monkeypatch, tmp_path):
