@@ -30,15 +30,24 @@ to small integers so hot lookups never re-hash deep structures.
 
 On a legal verdict (a miss or a content hit) the cache also seeds the
 transformation's one-slot fold memo with the final headers its bounds
-table already holds and the dependence set, so a scorer reading
+table already holds, so a scorer reading
 :meth:`Transformation.final_loops` next does not fold the sequence
-again, and :meth:`Transformation.apply` on the same nest and dependence
-set objects does not test it again.  Seeding only reads the tables: it
-never adds an entry or touches the LRU order.
+again.  An exact verdict also records the dependence set, so
+:meth:`Transformation.apply` on the same nest and dependence set
+objects does not test it again; a speculative dep-legal verdict seeds
+the headers only, having folded the bounds through the same tables
+(the verdict itself still ignores them).  Seeding only reads the
+tables: it never adds an entry or touches the LRU order.
+
+The cache holds no caller object alive: the object-identity shortcut
+tables hold their objects weakly (:class:`_ObjectTable`), and the
+content tables key by contents, never by the caller's nest.
 """
 
 from __future__ import annotations
 
+import copy
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sequence import (
@@ -57,6 +66,12 @@ from repro.resilience import chaos as _chaos
 def depset_key(deps: DepSet) -> Tuple:
     """Order-preserving content key for a dependence set."""
     return tuple(v.entries for v in deps.vectors)
+
+
+def nest_key(nest: LoopNest) -> Tuple:
+    """Content key for a loop nest: what ``LoopNest.__eq__`` compares,
+    without the nest object itself."""
+    return (nest.loops, nest.body, nest.inits)
 
 
 def template_key(step: Template) -> Tuple:
@@ -92,8 +107,9 @@ class LegalityCache:
     warm across every request it ever serves — needs bounded memory:
     pass ``max_entries`` to turn on LRU eviction.  The bound applies to
     each memo table (verdicts, dependence maps, bounds prefixes, and
-    the object-identity shortcut tables, which pin their key objects),
-    so total retained state is ``O(max_entries)`` entries per table.
+    the object-identity shortcut tables, whose entries also leave when
+    an object they name dies), so total retained state is
+    ``O(max_entries)`` entries per table.
     The content-interning tables cannot be evicted piecemeal (their
     small-int ids are embedded in other tables' keys), so when they
     alone outgrow ``8 * max_entries`` distinct contents the cache takes
@@ -120,18 +136,8 @@ class LegalityCache:
         # content-key -> small int, so hot paths hash ints not trees
         self._step_ids: Dict[Tuple, int] = {}
         self._deps_ids: Dict[Tuple, int] = {}
-        self._nest_ids: Dict[LoopNest, int] = {}
-        # Object-identity shortcuts over the content keys: the search
-        # loop passes the same template/nest/DepSet objects thousands of
-        # times, so compute each deep content key once per object and
-        # pin the object (the strong reference keeps its id() valid).
-        self._step_by_obj: Dict[int, Tuple[Template, int]] = {}
-        self._nest_by_obj: Dict[int, Tuple[LoopNest, int]] = {}
-        self._deps_by_obj: Dict[int, Tuple[DepSet, int]] = {}
-        # (id(transformation), id(nest), id(deps)) -> (pins, report):
-        # repeat queries with the very same objects skip keying entirely.
-        self._verdict_by_obj: Dict[Tuple[int, int, int],
-                                   Tuple[Tuple, LegalityReport]] = {}
+        self._nest_ids: Dict[Tuple, int] = {}
+        self._new_object_tables()
         # (deps_id, step_id) -> (mapped DepSet, its deps_id)
         self._map_cache: Dict[Tuple[int, int], Tuple[DepSet, int]] = {}
         # (nest_id, step_id prefix) -> ("ok", loops, frozen taken)
@@ -153,43 +159,44 @@ class LegalityCache:
 
     # -- interning ---------------------------------------------------------
 
+    def _new_object_tables(self) -> None:
+        # Object-identity shortcuts over the content keys: the search
+        # loop passes the same template/nest/DepSet objects thousands of
+        # times, so compute each deep content key once per object.
+        self._step_by_obj = _ObjectTable()
+        self._nest_by_obj = _ObjectTable()
+        self._deps_by_obj = _ObjectTable()
+        # (id(transformation), id(nest), id(deps)) -> report: repeat
+        # queries with the very same objects skip keying entirely.
+        self._verdict_by_obj = _ObjectTable()
+
+    def _intern(self, by_obj: "_ObjectTable", ids: Dict[Tuple, int], obj,
+                key_of) -> int:
+        """The small int for *obj*'s content key (``key_of(obj)``),
+        computed once per live object."""
+        known = by_obj.get(id(obj))
+        if known is not None:
+            return known[1]
+        key = key_of(obj)
+        oid = ids.get(key)
+        if oid is None:
+            oid = len(ids)
+            ids[key] = oid
+        by_obj.put(id(obj), (obj,), oid)
+        self._bound(by_obj)
+        return oid
+
     def _intern_step(self, step: Template) -> int:
-        pinned = self._step_by_obj.get(id(step))
-        if pinned is not None:
-            return pinned[1]
-        key = template_key(step)
-        sid = self._step_ids.get(key)
-        if sid is None:
-            sid = len(self._step_ids)
-            self._step_ids[key] = sid
-        self._step_by_obj[id(step)] = (step, sid)
-        self._bound(self._step_by_obj)
-        return sid
+        return self._intern(self._step_by_obj, self._step_ids, step,
+                            template_key)
 
     def _intern_deps(self, deps: DepSet) -> int:
-        pinned = self._deps_by_obj.get(id(deps))
-        if pinned is not None:
-            return pinned[1]
-        key = depset_key(deps)
-        did = self._deps_ids.get(key)
-        if did is None:
-            did = len(self._deps_ids)
-            self._deps_ids[key] = did
-        self._deps_by_obj[id(deps)] = (deps, did)
-        self._bound(self._deps_by_obj)
-        return did
+        return self._intern(self._deps_by_obj, self._deps_ids, deps,
+                            depset_key)
 
     def _intern_nest(self, nest: LoopNest) -> int:
-        pinned = self._nest_by_obj.get(id(nest))
-        if pinned is not None:
-            return pinned[1]
-        nid = self._nest_ids.get(nest)
-        if nid is None:
-            nid = len(self._nest_ids)
-            self._nest_ids[nest] = nid
-        self._nest_by_obj[id(nest)] = (nest, nid)
-        self._bound(self._nest_by_obj)
-        return nid
+        return self._intern(self._nest_by_obj, self._nest_ids, nest,
+                            nest_key)
 
     # -- bounded-memory LRU ------------------------------------------------
     #
@@ -248,62 +255,61 @@ class LegalityCache:
                   deps: DepSet) -> LegalityReport:
         self._maybe_flush()
         okey = (id(transformation), id(nest), id(deps))
-        pinned = self._verdict_by_obj.get(okey)
-        if pinned is not None:
+        known = self._verdict_by_obj.get(okey)
+        if known is not None:
             self.hits += 1
             self._touch(self._verdict_by_obj, okey)
-            return pinned[1]
+            return known[1]
         report = mismatch_report(nest, transformation.input_depth)
         if report is None:
-            report, nest_id, step_ids = self._verdict(
-                transformation, nest, deps, exact=True)
-            if report.legal:
-                # Seed the fold memo with the final headers the bounds
-                # table holds (none for a prefix a bounded cache evicted:
-                # the scorer then folds itself, and apply re-checks).
-                state = (self._bounds_cache.get((nest_id, step_ids))
-                         if step_ids else ("ok", nest.loops))
-                if state is not None and state[0] == "ok":
-                    transformation._remember_fold(nest, state[1], deps)
-        self._verdict_by_obj[okey] = ((transformation, nest, deps), report)
+            report = self._verdict(transformation, nest, deps, exact=True)
+        self._verdict_by_obj.put(okey, (transformation, nest, deps), report)
         self._bound(self._verdict_by_obj)
         return report
 
-    # -- speculative tier: the dependence half alone -----------------------
+    # -- speculative tier: the dependence half decides -----------------------
     #
     # The dependence half of the unified test never needs the *last*
     # step's bounds fold: context-sensitive steps take their loop
-    # headers from the prefix before them.  So a dep-only verdict costs
-    # one memoized map_dep_set per novel step — the "cheap dep-mapping"
-    # the speculative search tier admits candidates on, deferring the
-    # FM/bounds half until a candidate reaches the beam frontier.
+    # headers from the prefix before them.  So a dep-only verdict is
+    # decided by one memoized map_dep_set per novel step — the "cheap
+    # dep-mapping" the speculative search tier admits candidates on,
+    # deferring the exact verdict until a candidate reaches the beam
+    # frontier.  The bounds fold of a dep-legal candidate is not
+    # deferred: the scorer reads the final headers next, so the verdict
+    # folds them through this cache's tables (shared prefixes, delta
+    # logged like every other fold) and seeds the transformation.
 
     def dep_legality(self, transformation: Transformation, nest: LoopNest,
                      deps: DepSet) -> LegalityReport:
-        """The dependence half of :meth:`legality` only.
+        """The verdict of the dependence half of :meth:`legality` alone.
 
         ``legal=True`` here means *dep-legal*: the transformed
         dependence set admits no lexicographically negative tuple.  The
-        bounds half has not run — a dep-legal sequence can still fail
-        its preconditions, so speculative callers must re-verify with
-        :meth:`legality` before trusting a winner.  A dep-illegal
-        verdict is final: the full test would reject with the same
-        reason.  Reports carry ``final_deps`` exactly as the full test
-        does.
+        report does not depend on the bounds half — a dep-legal
+        sequence can still fail its preconditions, so speculative
+        callers must re-verify with :meth:`legality` before trusting a
+        winner.  A dep-illegal verdict is final: the full test would
+        reject with the same reason.  Reports carry ``final_deps``
+        exactly as the full test does.
+
+        A dep-legal verdict also folds the bounds (once per content,
+        like the full test) and, when that fold succeeds, seeds the
+        transformation's final headers for *nest* — not the dependence
+        set, as the verdict is not exact.  A failing fold, or a typed
+        error it raises, only leaves the transformation unseeded.
         """
         self._maybe_flush()
         report = mismatch_report(nest, transformation.input_depth)
         if report is None:
-            report = self._verdict(transformation, nest, deps,
-                                   exact=False)[0]
+            report = self._verdict(transformation, nest, deps, exact=False)
         return report
 
     def _verdict(self, transformation: Transformation, nest: LoopNest,
-                 deps: DepSet, exact: bool
-                 ) -> Tuple[LegalityReport, int, Tuple[int, ...]]:
+                 deps: DepSet, exact: bool) -> LegalityReport:
         """The verdict table's answer (the dep-verdict table's when not
         *exact*), folding the sequence through this cache's tables on a
-        miss; also the nest's and steps' interned ids."""
+        miss.  A legal answer seeds the transformation's fold memo."""
         steps = transformation.steps
         step_ids = tuple(self._intern_step(s) for s in steps)
         deps_id = self._intern_deps(deps)
@@ -316,12 +322,25 @@ class LegalityCache:
             self._touch(table, vkey)
         else:
             # The fold's spans sit on this miss path only, so verdict
-            # hits stay span-free.
+            # hits stay span-free.  It maps a copy of *deps*: a step may
+            # hand its input set back unchanged (an empty set, or no
+            # steps at all), and the tables must not keep the caller's.
             memo = _TableMemo(self, steps, step_ids, nest_id, deps_id)
-            report = fold_legality(steps, nest, deps, memo, exact)[0]
+            report = fold_legality(steps, nest, copy.copy(deps), memo,
+                                   exact)[0]
             table[vkey] = report
             self._bound(table)
-        return report, nest_id, step_ids
+        if report.legal:
+            # Seed the fold memo with the final headers the bounds table
+            # holds (none for a prefix a bounded cache evicted, or a
+            # dep-legal sequence whose bounds fail: the scorer then
+            # folds itself, and apply re-checks).
+            state = (self._bounds_cache.get((nest_id, step_ids))
+                     if step_ids else ("ok", nest.loops))
+            if state is not None and state[0] == "ok":
+                transformation._remember_fold(nest, state[1],
+                                              deps if exact else None)
+        return report
 
     def _count(self, exact: bool, hit: bool) -> None:
         """Count a verdict (*exact*) or dep-verdict hit or miss."""
@@ -435,11 +454,14 @@ class LegalityCache:
         state = self.__dict__.copy()
         state["_delta_log"] = None
         state["_replay"] = None
-        state["_step_by_obj"] = {}
-        state["_nest_by_obj"] = {}
-        state["_deps_by_obj"] = {}
-        state["_verdict_by_obj"] = {}
+        for name in ("_step_by_obj", "_nest_by_obj", "_deps_by_obj",
+                     "_verdict_by_obj"):
+            del state[name]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._new_object_tables()
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -471,6 +493,33 @@ class LegalityCache:
         self.dep_hits = self.dep_misses = 0
         self.dep_map_evals = self.bounds_step_evals = 0
         self.evictions = self.flushes = 0
+
+
+class _ObjectTable(dict):
+    """An object-identity shortcut table: ``key -> (refs, value)``,
+    where *key* is built from the ``id()`` of the objects *refs* hold
+    weakly.  An entry leaves the table when one of its objects dies —
+    before that object's id can be reused — so the table never keeps a
+    caller's object alive and never serves a dead object's entry."""
+
+    __slots__ = ("__weakref__", "_gone")
+
+    def __init__(self):
+        super().__init__()
+        table = weakref.ref(self)
+
+        def gone(ref: weakref.KeyedRef) -> None:
+            # Every entry under this key names the dying object (a live
+            # object's id is unique), so whatever entry is there goes.
+            live = table()
+            if live is not None:
+                live.pop(ref.key, None)
+
+        self._gone = gone
+
+    def put(self, key, objects: Tuple, value) -> None:
+        self[key] = (tuple(weakref.KeyedRef(obj, self._gone, key)
+                           for obj in objects), value)
 
 
 class _TableMemo:

@@ -81,7 +81,7 @@ class LegalityReport:
 class Transformation:
     """An immutable sequence of kernel template instantiations."""
 
-    __slots__ = ("steps", "_n", "_fold")
+    __slots__ = ("steps", "_n", "_fold", "__weakref__")
 
     def __init__(self, steps: Sequence[Template], n: Optional[int] = None):
         """*steps* may be empty only when *n* (the nest size) is given."""
@@ -297,10 +297,13 @@ class Transformation:
         (callers guarantee they come from a successful fold), and *deps*
         when the sequence is legal for ``(nest, deps)``.  Headers already
         remembered for this nest are kept: a cache may have seeded ones
-        it shares across transformations."""
+        it shares across transformations.  So is a legal verdict
+        already remembered for this nest when *deps* is None."""
         fold = self._fold
         if fold is not None and fold[0] is nest:
             loops = fold[1]
+            if deps is None:
+                deps = fold[2]
         object.__setattr__(self, "_fold", (nest, loops, deps))
 
     def loop_trace(self, nest: LoopNest) -> List[Tuple[Loop, ...]]:
@@ -308,7 +311,10 @@ class Transformation:
         whose bounds mapping fails raises its error."""
         trace, error = self.folded_loop_trace(nest)
         if error is not None:
-            raise error
+            try:
+                raise error
+            finally:
+                error = None  # the traceback holds this frame: no cycle
         return trace
 
     def folded_loop_trace(self, nest: LoopNest
@@ -392,13 +398,15 @@ def fold_bounds(steps: Sequence[Template], nest: LoopNest, memo,
             try:
                 step.check_preconditions(loops)
                 loops, _ = step.map_loops(loops, names)
+            # A kept state drops its error's traceback: the frames would
+            # hold the state (a reference cycle) and the caller's stack.
             except PreconditionViolation as exc:
-                state = ("pre", idx, exc)
+                state = ("pre", idx, exc.with_traceback(None))
             except CodegenError as exc:
                 # A mapping the preconditions admit but codegen cannot
                 # realize (e.g. Fourier-Motzkin blowup) is still a
                 # rejection, not a crash.
-                state = ("cg", idx, exc)
+                state = ("cg", idx, exc.with_traceback(None))
             else:
                 state = ("ok", loops, frozenset(names))
         memo.store(idx + 1, state)
@@ -429,8 +437,13 @@ def fold_legality(steps: Sequence[Template], nest: LoopNest, deps: DepSet,
                   memo, exact: bool = True
                   ) -> Tuple[LegalityReport, Optional[Tuple[Loop, ...]]]:
     """The legality test of *steps* on a nest of matching depth: the
-    report, and the final headers when legal.  ``exact=False`` stops
-    after the dependence half (the speculative *dep-legal* verdict)."""
+    report, and the final headers when legal.
+
+    ``exact=False`` gives the speculative *dep-legal* verdict: the
+    report is the dependence half's alone, whatever the bounds half
+    says.  The bounds fold still runs for a dep-legal sequence, so the
+    final headers come back when it succeeds (None when it fails, also
+    when it raises a typed error the exact test would let out)."""
     with _obs.span("legality.map_deps", steps=len(steps)):
         final = deps
         for final in _walk_deps(steps, nest, deps, memo):
@@ -442,10 +455,16 @@ def fold_legality(steps: Sequence[Template], nest: LoopNest, deps: DepSet,
             "transformed dependence set admits a lexicographically "
             f"negative tuple: {', '.join(bad)}",
             final_deps=final), None
-    if not exact:
-        return LegalityReport(True, final_deps=final), None
     with _obs.span("legality.bounds", steps=len(steps)):
-        state = fold_bounds(steps, nest, memo, len(steps))
+        try:
+            state = fold_bounds(steps, nest, memo, len(steps))
+        except ReproError:
+            if exact:
+                raise
+            state = ("error",)
+    if not exact:
+        return (LegalityReport(True, final_deps=final),
+                state[1] if state[0] == "ok" else None)
     if state[0] == "ok":
         return LegalityReport(True, final_deps=final), state[1]
     kind, idx, exc = state

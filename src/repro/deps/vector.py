@@ -189,7 +189,7 @@ def depv(*entries: EntryLike) -> DepVector:
 class DepSet:
     """An ordered set of dependence vectors of equal length."""
 
-    __slots__ = ("vectors",)
+    __slots__ = ("vectors", "__weakref__")
 
     def __init__(self, vectors: Iterable[Union[DepVector, Sequence[EntryLike]]]):
         seen = []

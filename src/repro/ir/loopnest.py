@@ -248,7 +248,7 @@ class LoopNest:
     transformation.
     """
 
-    __slots__ = ("loops", "inits", "body")
+    __slots__ = ("loops", "inits", "body", "__weakref__")
 
     def __init__(self, loops: Sequence[Loop], body: Sequence[Statement],
                  inits: Sequence[InitStmt] = ()):

@@ -227,8 +227,8 @@ class SearchConfig:
     * ``prune`` — discard algebraically-illegal candidates before any
       legality work (:mod:`repro.optimize.prune`);
     * ``speculate`` — admit model-favored candidates to the beam on the
-      cheap dep-only verdict, deferring the exact FM/bounds check until
-      a candidate reaches the beam frontier;
+      cheap dep-only verdict, deferring the exact verdict until a
+      candidate reaches the beam frontier;
     * ``model`` — a :class:`repro.optimize.model.CostModel` gating
       speculative admission (a default one is created when ``speculate``
       is set and this is None).
@@ -305,10 +305,13 @@ def _search(nest: LoopNest, deps: DepSet,
     With ``config.speculate`` candidates are admitted to the beam on the
     cheap dep-only verdict when the cost model favors them; unfavored
     candidates pay the exact verdict up-front, exactly as brute search
-    would.  The exact FM/bounds check is deferred until a candidate
-    reaches the beam frontier: expanding a base whose bounds fold fails
-    evicts it, and the final winner is re-verified with the exact test
-    in rank order — misspeculations are evicted
+    would.  What is deferred is the verdict, not the bounds fold: a
+    dep-legal verdict also folds the candidate's loop headers through
+    the cache (the scorer reads them next, so they are needed anyway)
+    but does not let them decide.  The exact verdict waits until a
+    candidate reaches the beam frontier: expanding a base whose bounds
+    fold fails evicts it, and the final winner is re-verified with the
+    exact test in rank order — misspeculations are evicted
     (:attr:`SearchResult.evicted`) until an exactly-legal winner
     remains, so the returned winner is always exactly legal.  For
     scoring functions that give every exactly-legal candidate a finite

@@ -521,8 +521,17 @@ def _in_order(values, level):
 
 _MODULE_ENTRY = '''
 
+#: The callees this module evaluates as builtins or functions.
+_CALLS = %r
+
+
 def kernel(arrays, symbols, funcs=None):
     """Run the nest on *arrays* in place; return the body count."""
+    for name in _CALLS:
+        if name in arrays:
+            raise _ReproError(
+                f"array {name!r} names a call this kernel evaluates; "
+                f"the interpreter would read the array instead")
     return _kernel(arrays, symbols, funcs or {}, _in_order, None, None,
                    float("inf"))
 '''
@@ -538,16 +547,18 @@ def emit_python(nest: LoopNest, funcs: Iterable[str] = ()) -> str:
     in place; *symbols* binds the nest's free names.  *funcs* names the
     callees that are functions, looked up in ``funcs`` at call time;
     every other non-builtin callee is an array, as in the interpreter.
+    The array set is fixed here, so ``kernel`` raises ``_ReproError``
+    when *arrays* has a key naming a callee it evaluates as a builtin
+    or function, which the interpreter would read as an array.
     ``pardo`` loops run in order and there is no iteration cap.
     """
     funcs = set(funcs)
     arrays = nest.array_names(funcs)
     assigned = set(nest.indices) | nest.defined_names()
-    emitter = _Emitter(nest, arrays, {f for f, _ in nest.calls()
-                                      if f in funcs and f not in arrays},
-                       None, False)
+    calls = {f for f, _ in nest.calls() if f not in arrays}
+    emitter = _Emitter(nest, arrays, calls & funcs, None, False)
     return (_MODULE_HEAD + emitter.source(sorted(nest.variables() - assigned))
-            + _MODULE_ENTRY)
+            + _MODULE_ENTRY % (tuple(sorted(calls)),))
 
 
 def nest_fingerprint(nest: LoopNest) -> str:

@@ -39,8 +39,9 @@ from repro.obs.metrics import get_metrics
 from repro.runtime.compiled import CompiledNestCache
 
 #: Bumped when the checkpoint payload shape changes; a file with any
-#: other version is ignored (cold start) rather than misread.
-CHECKPOINT_VERSION = 1
+#: other version is ignored (cold start) rather than misread.  Version 2:
+#: the legality cache interns nests by content tuple, not by nest.
+CHECKPOINT_VERSION = 2
 
 _CHECKPOINT_MAGIC = b"repro-warmstate"
 

@@ -130,6 +130,7 @@ CALL_NESTS = [
      " enddo\nenddo", {}),
     ("le-written",
      "do i = 1, 5\n le(i, 2) = i*3\n a(i) = le(i, 2) + le(2, i)\nenddo", {}),
+    ("le-compared", "do i = 1, 5\n a(i) = le(i, 3) * 10 + i\nenddo", {}),
 ]
 
 

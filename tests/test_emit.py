@@ -208,16 +208,23 @@ class TestEmitPython:
                              ids=[c[0] for c in CALL_NESTS])
     def test_call_rule_matches_interpreter(self, tag, src, symbols):
         """The module follows the interpreter's call rule: which calls
-        are builtins, which are arrays."""
+        are builtins, which are arrays.  An array passed under the name
+        of a call the module evaluates, which the interpreter would
+        read, is refused with the module's typed error."""
         nest = src if isinstance(src, LoopNest) else parse_nest(src)
         inputs = rand_arrays(nest.array_names(), nest.depth,
                              random.Random(tag))
         expected = run_nest(nest, inputs, symbols=symbols).arrays
         arrays = {name: defaultdict(int, arr.data)
                   for name, arr in inputs.items()}
-        compile_module(nest)(arrays, symbols)
+        kernel = compile_module(nest)
+        kernel(arrays, symbols)
         for name, arr in expected.items():
             assert Array(0, name, dict(arrays[name])) == arr, name
+        for name in {f for f, _ in nest.calls()} - nest.array_names():
+            with pytest.raises(kernel.__globals__["_ReproError"],
+                               match=repr(name)):
+                kernel(dict(arrays, **{name: defaultdict(int)}), symbols)
 
     @pytest.mark.parametrize("bsize", [2, 3])
     def test_compiled_blocked_matmul(self, matmul_nest, bsize):

@@ -38,13 +38,14 @@ def rectangular_nest(depth):
     return LoopNest(loops, body)
 
 
-TRIANGULAR = parse_nest("""
+TRIANGULAR_TEXT = """
 do i = 1, n
   do j = i, n
     a(i, j) = i + j
   enddo
 enddo
-""")
+"""
+TRIANGULAR = parse_nest(TRIANGULAR_TEXT)
 
 
 def rand_step(rng, n):
@@ -400,6 +401,39 @@ def test_failed_fold_is_never_memoized(observed):
     assert "legality.folds_reused" not in _counters()
 
 
+@pytest.mark.parametrize("use", ["legality", "score", "cache"])
+def test_failed_fold_leaves_no_reference_cycle(use):
+    """A bounds failure keeps no traceback: its frames would form a
+    reference cycle holding the caller's transformation until the cyclic
+    collector runs — which made evictions under a bounded cache depend on
+    collection timing.  With the collector off, dropping the caller's
+    objects frees them."""
+    import gc
+    import weakref
+
+    from repro.optimize.search import parallelism_score
+
+    nest = parse_nest(TRIANGULAR_TEXT)
+    deps = depset((0, 1))
+    cache = LegalityCache(max_entries=3)
+    gc.disable()
+    try:
+        T = Transformation.of(ReversePermute(2, [False, False], [2, 1]))
+        if use == "legality":
+            report = T.legality(nest, deps)
+            assert report.violation.__traceback__ is None
+        elif use == "score":
+            assert parallelism_score(T, nest, deps) == float("-inf")
+        else:
+            assert not cache.legality(T, nest, deps).legal
+        refs = [weakref.ref(obj) for obj in (T, nest, *T.steps)]
+        del T, nest
+        report = None
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 # -- apply reuses the verdict it already holds --------------------------------
 
 def _map_deps_spans(tracer):
@@ -449,3 +483,76 @@ def test_apply_checks_after_the_slot_moved_to_another_nest(observed):
     spans = _map_deps_spans(observed)
     T.apply(first, legal)
     assert _map_deps_spans(observed) == spans + 1
+
+
+# -- the cache keeps no caller object alive ----------------------------------
+
+@pytest.mark.parametrize("max_entries", [None, 3])
+def test_cache_keeps_no_caller_object_alive(max_entries):
+    """Once the caller drops its nests, dependence sets, transformations
+    and steps, none is alive — after legal, dep-illegal, bounds-failing
+    and speculative verdicts, prefix folds and a whole guided search —
+    and no identity shortcut entry outlives its object."""
+    import gc
+    import weakref
+    from pathlib import Path
+
+    from repro.deps.analysis import analyze
+
+    examples = Path(__file__).resolve().parent.parent / "examples" / "loops"
+    texts = [TRIANGULAR_TEXT] + [p.read_text()
+                                 for p in sorted(examples.glob("*.loop"))]
+    specs = {2: ("", "interchange(1,2)", "skew(1,2,1); block(1,2,4)",
+                 "reverse(1); stripmine(2,4)", "wavefront(); coalesce(1,2)"),
+             3: ("", "interchange(2,3)", "skew(1,2,1); block(1,3,4)",
+                 "permute(3,1,2); reverse(3)", "reverse(1); coalesce(1,2)")}
+    cache = LegalityCache(max_entries=max_entries)
+    refs = []
+
+    def run():
+        for text in texts:
+            nest = parse_nest(text)
+            deps = analyze(nest)
+            for spec in specs[nest.depth]:
+                T = (Transformation.from_spec(spec, nest.depth) if spec
+                     else Transformation.identity(nest.depth))
+                cache.dep_legality(T, nest, deps)
+                cache.legality(T, nest, deps)
+                cache.prefix_loops(T, nest)
+                refs.extend(weakref.ref(obj) for obj in (T, *T.steps))
+            result = search(nest, deps, config=SearchConfig(
+                cache=cache, prune=True, speculate=True))
+            refs.extend(weakref.ref(obj) for obj in
+                        (nest, deps, result.transformation))
+
+    run()
+    gc.collect()
+    assert cache.stats["misses"] > 0
+    assert [type(r()).__name__ for r in refs if r() is not None] == []
+    for table in (cache._step_by_obj, cache._nest_by_obj,
+                  cache._deps_by_obj, cache._verdict_by_obj):
+        assert not table
+
+
+def test_speculative_verdict_keeps_a_raising_bounds_fold_in(observed):
+    """A typed error the bounds fold raises (not a precondition or
+    codegen rejection) escapes the exact test, but the dep-legal verdict
+    stands without it; the transformation stays unseeded and the scorer
+    still answers -inf."""
+    from repro.optimize.search import parallelism_score
+    from repro.util.errors import ReproError
+
+    class Exploding(ReversePermute):
+        def map_loops(self, loops, taken):
+            raise ReproError("bounds fold exploded")
+
+    nest = rectangular_nest(2)
+    deps = depset((1, 0))
+    T = Transformation.of(Parallelize(2, [False, True]),
+                          Exploding(2, [False, False], [1, 2]))
+    cache = LegalityCache()
+    assert cache.dep_legality(T, nest, deps).legal
+    assert T._fold is None
+    assert parallelism_score(T, nest, deps) == float("-inf")
+    with pytest.raises(ReproError, match="exploded"):
+        cache.legality(T, nest, deps)

@@ -88,6 +88,61 @@ def test_guided_jobs2_field_identical(path):
     assert_field_identical(serial, parallel)
 
 
+# -- the speculative verdict folds each candidate's headers once ------------
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_speculative_scorer_never_refolds(tmp_path, jobs):
+    """Every candidate a speculative search scores already holds its
+    final headers for the nest (the dep-legal verdict folded them
+    through the cache), unless its bounds fold fails; reading them is
+    one ``legality.folds_reused`` each.  The scorer may run in a forked
+    worker, so it logs to a file."""
+    import json
+
+    from repro import obs
+    from repro.core.sequence import Transformation
+
+    log = tmp_path / "scored.jsonl"
+
+    def reused():
+        return obs.get_metrics().snapshot()["counters"].get(
+            "legality.folds_reused", 0)
+
+    def scorer(candidate, nest, deps):
+        fold = candidate._fold
+        held = fold is not None and fold[0] is nest
+        fresh = Transformation(candidate.steps, n=nest.depth)
+        trace, error = fresh.folded_loop_trace(nest)
+        before = reused()
+        value = parallelism_score(candidate, nest, deps)
+        with log.open("a") as fh:
+            fh.write(json.dumps({
+                "steps": len(candidate.steps), "held": held,
+                "right": held and error is None and fold[1] == trace[-1],
+                "fails": error is not None,
+                "reused": reused() - before}) + "\n")
+        return value
+
+    obs.enable()
+    try:
+        for path in EXAMPLES:
+            nest, deps = _load(path)
+            result = search(nest, deps, config=SearchConfig(
+                score=scorer, prune=True, speculate=True, jobs=jobs))
+            if jobs > 1:
+                assert result.parallel["dispatched"] > 0
+    finally:
+        obs.disable()
+        obs.get_metrics().clear()
+    scored = [json.loads(line) for line in log.read_text().splitlines()]
+    candidates = [s for s in scored if s["steps"]]
+    assert candidates
+    for s in candidates:
+        assert s["held"] == s["right"] == (not s["fails"]), s
+    assert sum(s["reused"] for s in candidates) == \
+        sum(s["held"] for s in candidates) > 0
+
+
 # -- misspeculation is caught at the frontier -------------------------------
 
 def _favor_interchange(candidate, nest, deps):

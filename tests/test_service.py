@@ -283,6 +283,47 @@ def test_legality_cache_eviction_under_small_cap():
     assert leg["entries"] <= 3 * 4  # three bounded verdict/map/bounds tables
 
 
+def test_live_nests_bounded_by_memo_caps_not_requests():
+    """A replay over a pool larger than the parse and analysis memos
+    re-parses evicted nests again and again; every request also builds
+    fresh transformations.  Once it is done, the live nests are the
+    ones those two memos hold plus a few, however many requests ran:
+    the legality cache keeps no dropped nest alive."""
+    import gc
+    import random
+
+    from repro.fuzz.gen import CaseGen
+    from repro.ir.loopnest import LoopNest
+
+    requests = 4000
+    service = TransformationService(default_prune=True,
+                                    default_speculate=True,
+                                    queue_max=requests)
+    memo = service.state.memo_max_entries
+    pool = [case for case in CaseGen(3).cases(2 * memo + 200)
+            if case.steps][:memo + 44]
+    assert len({case.text for case in pool}) > memo
+    rng = random.Random(0)
+    ops = ("parse", "analyze", "legality", "legality", "legality",
+           "apply", "search")
+    batch = []
+    for i in range(requests):
+        case = pool[rng.randrange(len(pool))]
+        op = rng.choice(ops)
+        params = {"text": case.text}
+        if op in ("legality", "apply"):
+            params["steps"] = case.steps
+        if op == "search":
+            params["depth"] = 1
+        batch.append({"id": i, "op": op, "params": params})
+    replies = drive(service, batch)
+    assert len(replies) == requests
+    assert sum(r["ok"] for r in replies) > requests // 2
+    gc.collect()
+    live = sum(isinstance(obj, LoopNest) for obj in gc.get_objects())
+    assert live <= 2 * memo + 16
+
+
 # -- SIGTERM drain (real process) -------------------------------------------
 
 def test_sigterm_drains_gracefully():
