@@ -440,14 +440,19 @@ def _map_deps_spans(tracer):
     return sum(1 for s in tracer.spans() if s.name == "legality.map_deps")
 
 
-@pytest.mark.parametrize("memo", ["one-shot", "cache"])
+@pytest.mark.parametrize("memo", ["one-shot", "cache", "cache-then-dep"])
 def test_apply_after_a_legal_verdict_runs_no_second_test(observed, memo):
+    """Also when a dep-legal verdict, which seeds headers only, follows
+    the legal one."""
     nest = rectangular_nest(2)
     deps = depset((1, 0))
     T = _tiled_parallel()
+    cache = LegalityCache()
     verdict = (T.legality(nest, deps) if memo == "one-shot"
-               else LegalityCache().legality(T, nest, deps))
+               else cache.legality(T, nest, deps))
     assert verdict.legal
+    if memo == "cache-then-dep":
+        assert cache.dep_legality(T, nest, deps).legal
     spans = _map_deps_spans(observed)
     out = T.apply(nest, deps)
     assert _map_deps_spans(observed) == spans
