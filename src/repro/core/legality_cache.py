@@ -166,8 +166,9 @@ class LegalityCache:
         self._step_by_obj = _ObjectTable()
         self._nest_by_obj = _ObjectTable()
         self._deps_by_obj = _ObjectTable()
-        # (id(transformation), id(nest), id(deps)) -> report: repeat
-        # queries with the very same objects skip keying entirely.
+        # (id(transformation), id(nest), id(deps)) -> (nest, deps,
+        # report): repeat queries with the very same objects skip keying
+        # entirely.
         self._verdict_by_obj = _ObjectTable()
 
     def _intern(self, by_obj: "_ObjectTable", ids: Dict[Tuple, int], obj,
@@ -182,7 +183,7 @@ class LegalityCache:
         if oid is None:
             oid = len(ids)
             ids[key] = oid
-        by_obj.put(id(obj), (obj,), oid)
+        by_obj.put(id(obj), obj, oid)
         self._bound(by_obj)
         return oid
 
@@ -259,11 +260,14 @@ class LegalityCache:
         if known is not None:
             self.hits += 1
             self._touch(self._verdict_by_obj, okey)
-            return known[1]
+            return known[1][2]
         report = mismatch_report(nest, transformation.input_depth)
         if report is None:
             report = self._verdict(transformation, nest, deps, exact=True)
-        self._verdict_by_obj.put(okey, (transformation, nest, deps), report)
+        # The entry lives as long as the transformation, which holds its
+        # nest and set alive anyway once legal (see _remember_fold); it
+        # holds them too, so their ids stay theirs while it exists.
+        self._verdict_by_obj.put(okey, transformation, (nest, deps, report))
         self._bound(self._verdict_by_obj)
         return report
 
@@ -322,12 +326,13 @@ class LegalityCache:
             self._touch(table, vkey)
         else:
             # The fold's spans sit on this miss path only, so verdict
-            # hits stay span-free.  It maps a copy of *deps*: a step may
-            # hand its input set back unchanged (an empty set, or no
-            # steps at all), and the tables must not keep the caller's.
+            # hits stay span-free.
             memo = _TableMemo(self, steps, step_ids, nest_id, deps_id)
-            report = fold_legality(steps, nest, copy.copy(deps), memo,
-                                   exact)[0]
+            report = fold_legality(steps, nest, deps, memo, exact)[0]
+            if report.final_deps is deps:
+                # No step mapped it: the table keeps a copy, never the
+                # caller's set.
+                report.final_deps = copy.copy(deps)
             table[vkey] = report
             self._bound(table)
         if report.legal:
@@ -496,11 +501,11 @@ class LegalityCache:
 
 
 class _ObjectTable(dict):
-    """An object-identity shortcut table: ``key -> (refs, value)``,
-    where *key* is built from the ``id()`` of the objects *refs* hold
-    weakly.  An entry leaves the table when one of its objects dies —
-    before that object's id can be reused — so the table never keeps a
-    caller's object alive and never serves a dead object's entry."""
+    """An object-identity shortcut table: ``key -> (ref, value)``, where
+    *key* is built from ``id(obj)`` (and the ids of objects *value*
+    holds) and *ref* holds *obj* weakly.  An entry leaves the table when
+    *obj* dies — before its id can be reused — so the table never keeps
+    it alive and never serves a dead object's entry."""
 
     __slots__ = ("__weakref__", "_gone")
 
@@ -517,9 +522,8 @@ class _ObjectTable(dict):
 
         self._gone = gone
 
-    def put(self, key, objects: Tuple, value) -> None:
-        self[key] = (tuple(weakref.KeyedRef(obj, self._gone, key)
-                           for obj in objects), value)
+    def put(self, key, obj, value) -> None:
+        self[key] = (weakref.KeyedRef(obj, self._gone, key), value)
 
 
 class _TableMemo:
@@ -554,6 +558,10 @@ class _TableMemo:
                       if cache._replay is not None else None)
             if mapped is None:
                 mapped = step.map_dep_set(current, ctx)
+                if mapped is current:
+                    # Handed back unchanged (an empty set): the table
+                    # keeps a copy, never the caller's set.
+                    mapped = copy.copy(current)
             hit = (mapped, cache._deps_ids.setdefault(
                 depset_key(mapped), len(cache._deps_ids)))
             cache._map_cache[mkey] = hit
