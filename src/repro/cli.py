@@ -69,7 +69,7 @@ span table to stderr when done) and ``--trace-json PATH`` (export the
 span stream — stitched across processes when remote spans were
 collected — as JSON lines) — both install the :mod:`repro.obs`
 tracer for the duration of the command — plus ``--jobs N`` and
-``--candidate-timeout S``, which tune parallel candidate evaluation
+``--candidate-timeout S``, which tune parallel candidate scoring
 where the command searches (``search``, ``profile``, ``serve``) and are
 accepted-but-inert elsewhere so wrapper scripts can pass one uniform
 flag set.
@@ -240,9 +240,10 @@ def cmd_run(args) -> int:
 def cmd_search(args) -> int:
     """Beam-search a transformation sequence and print a JSON summary.
 
-    ``--jobs N`` shards candidate evaluation across N forked worker
-    processes; results are guaranteed identical to ``--jobs 1`` (the
-    ``parallel`` block in the output records the worker accounting).
+    ``--jobs N`` shards candidate scoring across N forked worker
+    processes (legality is decided in this process either way); results
+    are guaranteed identical to ``--jobs 1`` (the ``parallel`` block in
+    the output records the worker accounting).
     ``--scorer time`` replaces the static parallelism score with
     measured wall clock under ``--engine``.
     """
@@ -758,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "stream to PATH as JSON lines")
 
     def add_parallel(p, jobs_help="worker processes for candidate "
-                     "evaluation (1 = serial; results are identical "
+                     "scoring (1 = serial; results are identical "
                      "either way)"):
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help=jobs_help)
@@ -966,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "under --supervise)")
     add_observe(p_srv)
     add_parallel(p_srv, jobs_help="size of the shared worker pool for "
-                 "batched legality and parallel search (default 1)")
+                 "search candidate scoring (default 1)")
     add_model_guided(p_srv)
     p_srv.set_defaults(func=cmd_serve)
 

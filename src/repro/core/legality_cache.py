@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import copy
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.sequence import (
     LegalityReport,
@@ -128,11 +128,6 @@ class LegalityCache:
         self.max_entries = max_entries
         self.evictions = 0
         self.flushes = 0
-        # When a list, the memoized test appends every value its fold
-        # reads or computes (see legality_with_delta); while a delta
-        # replays, the logged values by fold position (see merge_delta).
-        self._delta_log: Optional[List[Tuple]] = None
-        self._replay: Optional[Dict[Tuple[str, int], object]] = None
         # content-key -> small int, so hot paths hash ints not trees
         self._step_ids: Dict[Tuple, int] = {}
         self._deps_ids: Dict[Tuple, int] = {}
@@ -281,8 +276,8 @@ class LegalityCache:
     # deferring the exact verdict until a candidate reaches the beam
     # frontier.  The bounds fold of a dep-legal candidate is not
     # deferred: the scorer reads the final headers next, so the verdict
-    # folds them through this cache's tables (shared prefixes, delta
-    # logged like every other fold) and seeds the transformation.
+    # folds them through this cache's tables (sharing prefixes like
+    # every other fold) and seeds the transformation.
 
     def dep_legality(self, transformation: Transformation, nest: LoopNest,
                      deps: DepSet) -> LegalityReport:
@@ -369,96 +364,15 @@ class LegalityCache:
         state = fold_bounds(steps, nest, memo, len(steps))
         return state[1] if state[0] == "ok" else None
 
-    # -- parallel-search delta protocol ------------------------------------
-    #
-    # A forked worker evaluates candidates on its *copy* of this cache and
-    # ships back, per candidate, a delta: every value the candidate's fold
-    # read from or added to the worker's tables, by fold position.  The
-    # parent replays deltas with merge_delta in serial candidate order:
-    # the replay runs the very test the serial search runs, on the
-    # parent's tables, taking the logged values where the serial run
-    # would compute.  Hits, misses, evaluations, LRU touches, evictions
-    # and flushes — and therefore ``SearchResult.cache_stats`` — come out
-    # identical to a serial run, bounded cache or not.
-
-    def legality_with_delta(
-            self, transformation: Transformation, nest: LoopNest,
-            deps: DepSet) -> Tuple[LegalityReport, List[Tuple]]:
-        """Like :meth:`legality`, additionally returning the delta: a
-        ``("map", position, mapped set)`` or ``("bounds", prefix length,
-        state)`` entry for every value the fold read or computed, and a
-        trailing ``("verdict", transformation)`` entry naming the test
-        :meth:`merge_delta` replays."""
-        return self._with_delta(self.legality, "verdict", transformation,
-                                nest, deps)
-
-    def dep_legality_with_delta(
-            self, transformation: Transformation, nest: LoopNest,
-            deps: DepSet) -> Tuple[LegalityReport, List[Tuple]]:
-        """Like :meth:`dep_legality`, with the same delta contract as
-        :meth:`legality_with_delta`; the trailing entry is
-        ``("dep_verdict", transformation)``, so replay runs the
-        dependence half only."""
-        return self._with_delta(self.dep_legality, "dep_verdict",
-                                transformation, nest, deps)
-
-    def _with_delta(self, test, kind: str, transformation: Transformation,
-                    nest: LoopNest, deps: DepSet
-                    ) -> Tuple[LegalityReport, List[Tuple]]:
-        log: List[Tuple] = []
-        previous = self._delta_log
-        self._delta_log = log
-        try:
-            report = test(transformation, nest, deps)
-        finally:
-            self._delta_log = previous
-        log.append((kind, transformation))
-        return report, log
-
-    def merge_delta(self, nest: LoopNest, deps: DepSet,
-                    delta: Sequence[Tuple],
-                    transformation: Optional[Transformation] = None
-                    ) -> LegalityReport:
-        """Replay a worker delta into this cache and return the verdict.
-
-        Runs the delta's test (exact or dependence-only) on
-        *transformation* — the caller's own object for the candidate the
-        worker evaluated, so the identity tables see what a serial run
-        sees — or, when None, on the transformation the delta carries.
-        The fold goes through this cache's tables exactly as the serial
-        call would; where it misses, the worker's logged value stands in
-        for recomputation (a value the log lacks is computed here).
-        """
-        values: Dict[Tuple[str, int], object] = {}
-        kind = logged = None
-        for entry in delta:
-            if entry[0] in ("map", "bounds"):
-                values[(entry[0], entry[1])] = entry[2]
-            elif entry[0] in ("verdict", "dep_verdict"):
-                kind, logged = entry
-            else:
-                raise ValueError(f"unknown delta entry kind: {entry[0]!r}")
-        if kind is None:
-            raise ValueError("delta has no verdict entry")
-        test = self._legality if kind == "verdict" else self.dep_legality
-        self._replay = values
-        try:
-            return test(transformation if transformation is not None
-                        else logged, nest, deps)
-        finally:
-            self._replay = None
-
     # -- bookkeeping -------------------------------------------------------
 
     def __getstate__(self):
         """Checkpoint support (:meth:`repro.service.state.WarmState.
         checkpoint`): the content-keyed tables are the warm state worth
         persisting; the object-identity shortcut tables key by ``id()``,
-        which is meaningless in another process, and the delta log is
-        per-call scratch — all are rebuilt lazily from traffic."""
+        which is meaningless in another process, and are rebuilt lazily
+        from traffic."""
         state = self.__dict__.copy()
-        state["_delta_log"] = None
-        state["_replay"] = None
         for name in ("_step_by_obj", "_nest_by_obj", "_deps_by_obj",
                      "_verdict_by_obj"):
             del state[name]
@@ -528,9 +442,7 @@ class _ObjectTable(dict):
 
 class _TableMemo:
     """A cache's tables as the legality fold's memo for one sequence on
-    one nest; new entries count as evaluations, every value read or
-    added is delta-logged, and a replaying delta supplies the values a
-    miss would compute."""
+    one nest; new entries count as evaluations."""
 
     __slots__ = ("cache", "steps", "step_ids", "nest_id", "deps_id")
 
@@ -554,20 +466,15 @@ class _TableMemo:
             cache._touch(cache._map_cache, mkey)
         else:
             cache.dep_map_evals += 1
-            mapped = (cache._replay.get(("map", idx))
-                      if cache._replay is not None else None)
-            if mapped is None:
-                mapped = step.map_dep_set(current, ctx)
-                if mapped is current:
-                    # Handed back unchanged (an empty set): the table
-                    # keeps a copy, never the caller's set.
-                    mapped = copy.copy(current)
+            mapped = step.map_dep_set(current, ctx)
+            if mapped is current:
+                # Handed back unchanged (an empty set): the table keeps a
+                # copy, never the caller's set.
+                mapped = copy.copy(current)
             hit = (mapped, cache._deps_ids.setdefault(
                 depset_key(mapped), len(cache._deps_ids)))
             cache._map_cache[mkey] = hit
             cache._bound(cache._map_cache)
-        if cache._delta_log is not None:
-            cache._delta_log.append(("map", idx, hit[0]))
         self.deps_id = hit[1]
         return hit[0]
 
@@ -577,8 +484,6 @@ class _TableMemo:
         state = cache._bounds_cache.get(key)
         if state is not None:
             cache._touch(cache._bounds_cache, key)
-            if cache._delta_log is not None:
-                cache._delta_log.append(("bounds", k, state))
         return state
 
     def store(self, k: int, state: Tuple) -> None:
@@ -586,9 +491,3 @@ class _TableMemo:
         cache.bounds_step_evals += 1
         cache._bounds_cache[(self.nest_id, self.step_ids[:k])] = state
         cache._bound(cache._bounds_cache)
-        if cache._delta_log is not None:
-            cache._delta_log.append(("bounds", k, state))
-
-    def replayed(self, k: int) -> Optional[Tuple]:
-        replay = self.cache._replay
-        return replay.get(("bounds", k)) if replay is not None else None

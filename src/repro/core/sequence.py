@@ -335,10 +335,8 @@ class Transformation:
 # A memo serves ``map_step(idx, step, current, ctx)`` (the set ``step``
 # maps ``current``, the set after ``idx`` steps, to) and the bounds state
 # after the first ``k`` steps through ``prefix(k)`` (None when unknown) and
-# ``store(k, state)``; ``replayed(k)`` may hand over an already-computed
-# state for a prefix the fold would otherwise compute.  A state is
-# ``("ok", loops, frozenset of taken names)`` or ``("pre"|"cg", failing
-# step index, exception)``.
+# ``store(k, state)``.  A state is ``("ok", loops, frozenset of taken
+# names)`` or ``("pre"|"cg", failing step index, exception)``.
 
 
 class _OneShot:
@@ -359,9 +357,6 @@ class _OneShot:
 
     def store(self, k: int, state: Tuple) -> None:
         self.states[k] = state
-
-    def replayed(self, k: int) -> Optional[Tuple]:
-        return None
 
 
 def mismatch_report(nest: LoopNest, n: int) -> Optional[LegalityReport]:
@@ -389,26 +384,21 @@ def fold_bounds(steps: Sequence[Template], nest: LoopNest, memo,
     names = set(collect_taken(nest) if taken is None else taken)
     state = ("ok", loops, taken)
     for idx in range(start, k):
-        state = memo.replayed(idx + 1)
-        if state is not None:
-            if state[0] == "ok":
-                loops, names = state[1], set(state[2])
+        step = steps[idx]
+        try:
+            step.check_preconditions(loops)
+            loops, _ = step.map_loops(loops, names)
+        # A kept state drops its error's traceback: the frames would hold
+        # the state (a reference cycle) and the caller's stack.
+        except PreconditionViolation as exc:
+            state = ("pre", idx, exc.with_traceback(None))
+        except CodegenError as exc:
+            # A mapping the preconditions admit but codegen cannot
+            # realize (e.g. Fourier-Motzkin blowup) is still a rejection,
+            # not a crash.
+            state = ("cg", idx, exc.with_traceback(None))
         else:
-            step = steps[idx]
-            try:
-                step.check_preconditions(loops)
-                loops, _ = step.map_loops(loops, names)
-            # A kept state drops its error's traceback: the frames would
-            # hold the state (a reference cycle) and the caller's stack.
-            except PreconditionViolation as exc:
-                state = ("pre", idx, exc.with_traceback(None))
-            except CodegenError as exc:
-                # A mapping the preconditions admit but codegen cannot
-                # realize (e.g. Fourier-Motzkin blowup) is still a
-                # rejection, not a crash.
-                state = ("cg", idx, exc.with_traceback(None))
-            else:
-                state = ("ok", loops, frozenset(names))
+            state = ("ok", loops, frozenset(names))
         memo.store(idx + 1, state)
         if state[0] != "ok":
             break

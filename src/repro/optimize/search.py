@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from contextlib import nullcontext
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.simulator import CacheConfig, Layout, simulate_trace
@@ -284,18 +283,22 @@ def _search(nest: LoopNest, deps: DepSet,
     (:func:`coerce_score`) so it can neither win nor scramble the beam
     ordering.
 
-    With ``jobs > 1`` each level's candidate evaluations are sharded
-    across forked worker processes (:mod:`repro.parallel`); the workers'
-    legality-cache deltas are merged back in serial candidate order, so
-    the result — winner, score, ``explored``, ``legal_count``,
-    ``cache_stats`` and the pruning/speculation counters — is identical
-    to ``jobs=1`` (pruning and all cost-model decisions run parent-side,
-    before and after sharding).  Worker crashes requeue the lost
-    candidates once, then degrade to in-process evaluation; the
-    accounting lands on :attr:`SearchResult.parallel`.
-    ``candidate_timeout`` bounds each candidate's scoring wall-clock in
-    *both* modes: an overrunning candidate scores ``-inf`` and is
-    counted on :attr:`SearchResult.timeouts`.
+    Each level runs in two phases.  The first decides, in this process
+    and in serial candidate order, every candidate's legality (pruning,
+    the legality or dep-only verdict, speculative admission); only this
+    phase touches the cache.  The second scores the candidates that
+    passed — in-process, or with ``jobs > 1`` sharded across forked
+    worker processes (:mod:`repro.parallel`) that receive candidate wire
+    forms and return scores — and folds the scores into the beam in
+    candidate order.  The result — winner, score, ``explored``,
+    ``legal_count``, ``cache_stats`` and the pruning/speculation
+    counters — is therefore identical to ``jobs=1`` by construction.
+    Worker crashes requeue the lost candidates once, then degrade to
+    in-process scoring; the accounting lands on
+    :attr:`SearchResult.parallel`.  ``candidate_timeout`` bounds each
+    candidate's scoring wall-clock in *both* modes: an overrunning
+    candidate scores ``-inf`` and is counted on
+    :attr:`SearchResult.timeouts`.
 
     **Model-guided paths.**  With ``config.prune`` each surviving base's
     exact mapped dependence set and folded loop headers feed
@@ -329,8 +332,7 @@ def _search(nest: LoopNest, deps: DepSet,
     into the cache, so shared prefixes hit even under a bounded cache's
     eviction.  Pass any object with a compatible
     ``legality(transformation, nest, deps)`` method to substitute a
-    different policy (parallel mode additionally needs the delta
-    protocol and falls back to serial without it).  A long-lived caller
+    different policy, in either mode.  A long-lived caller
     can likewise pass ``config.pool`` — a
     :class:`~repro.parallel.pool.ShardedPool` to reuse across calls; it
     is rebound to this call's workload instead of forking a fresh pool
@@ -338,8 +340,9 @@ def _search(nest: LoopNest, deps: DepSet,
     cache's hit/miss counters come back on
     :attr:`SearchResult.cache_stats`; under ``repro.obs`` the search
     additionally records spans (``search``, ``search.level``,
-    ``search.candidate``, and ``search.shard``/``search.merge`` when
-    parallel) and metrics (explored/legal/pruned/speculated/evicted
+    ``search.candidate`` for a candidate's legality, ``search.scoring``
+    for an in-process score, and ``search.shard`` when parallel) and
+    metrics (explored/legal/pruned/speculated/evicted
     counters, beam gauges, a score histogram, legality-cache gauges,
     parallel timeout/crash/requeue/fallback counters).
     """
@@ -364,7 +367,7 @@ def _search(nest: LoopNest, deps: DepSet,
         from repro.optimize.model import CostModel
         model = CostModel()
     if pool is not None:
-        pool.rebind(nest, deps, score, menu=menu, speculate=speculate)
+        pool.rebind(nest, deps, score, menu=menu)
         effective_jobs = pool.jobs
     else:
         effective_jobs = int(config.jobs) if config.jobs else 1
@@ -372,7 +375,7 @@ def _search(nest: LoopNest, deps: DepSet,
             from repro.parallel.pool import ShardedPool
             pool = ShardedPool(nest, deps, score, effective_jobs,
                                candidate_timeout=candidate_timeout,
-                               menu=menu, speculate=speculate)
+                               menu=menu)
     identity = Transformation.identity(n)
     observing = _obs.enabled()
     timeouts = 0
@@ -448,75 +451,65 @@ def _search(nest: LoopNest, deps: DepSet,
                                 continue
                         level_candidates.append(
                             base.then(step, reduce=False))
-                outcomes = (pool.evaluate_level(_level, level_candidates,
-                                                cache)
-                            if pool is not None else {})
-                merge_span = (_obs.span("search.merge", level=_level,
-                                        worker_results=len(outcomes))
-                              if pool is not None else nullcontext())
-                with merge_span:
-                    for idx, candidate in enumerate(level_candidates):
-                        outcome = outcomes.get(idx)
-                        if outcome is None:
-                            # Serial mode — or a candidate no worker
-                            # finished (degraded pool / crashed worker):
-                            # evaluate in-process.
-                            if pool is not None:
-                                pool.stats["parent_evals"] = (
-                                    int(pool.stats["parent_evals"]) + 1)
-                            with _obs.span("search.candidate") as sp:
-                                report = (cache.dep_legality(candidate,
-                                                             nest, deps)
-                                          if speculate
-                                          else cache.legality(candidate,
-                                                              nest, deps))
-                                if not report.legal:
-                                    sp.tag(legal=False)
-                                    continue
-                                value, timed_out = call_with_timeout(
-                                    lambda: score(candidate, nest, deps),
-                                    candidate_timeout)
-                                if timed_out:
-                                    timeouts += 1
-                                s = (float("-inf") if timed_out
-                                     else coerce_score(value))
-                                sp.tag(legal=True, score=s)
-                        else:
-                            report = cache.merge_delta(
-                                nest, deps, outcome.delta, candidate)
-                            if report is None or not report.legal:
-                                continue
-                            if outcome.timed_out:
-                                timeouts += 1
-                                s = float("-inf")
-                            else:
-                                s = coerce_score(outcome.value)
-                        if speculate:
-                            # Parent-side admission control, in serial
-                            # candidate order in both modes: favored
-                            # candidates ride the dep-only verdict;
-                            # unfavored ones pay the exact verdict now,
-                            # exactly as brute search would.
+                # Phase 1, in the parent: each candidate's legality
+                # verdict and, when speculating, its admission, in serial
+                # candidate order, so the cache sees the calls a serial
+                # run makes whatever ``jobs`` is.
+                passed: List[bool] = []
+                for candidate in level_candidates:
+                    with _obs.span("search.candidate") as sp:
+                        report = (cache.dep_legality(candidate, nest, deps)
+                                  if speculate
+                                  else cache.legality(candidate, nest, deps))
+                        if report.legal and speculate:
+                            # Favored candidates ride the dep-only
+                            # verdict; unfavored ones pay the exact
+                            # verdict now, exactly as brute search would.
                             step = candidate.steps[-1]
                             if model.favored(step, candidate, report):
                                 speculated += 1
                             else:
-                                exact = cache.legality(candidate, nest,
-                                                       deps)
-                                model.observe(step, exact.legal)
-                                if not exact.legal:
-                                    continue
-                        legal_count += 1
-                        if observing and s != float("-inf"):
-                            score_hist.observe(s)
-                        nxt.append((s, candidate))
-                        if speculate:
-                            admitted.append((s, len(candidate),
-                                             admit_order, candidate))
-                            admit_order += 1
-                        elif s > best_score or (s == best_score and
-                                                len(candidate) < len(best)):
-                            best_score, best = s, candidate
+                                report = cache.legality(candidate, nest,
+                                                        deps)
+                                model.observe(step, report.legal)
+                        sp.tag(legal=report.legal)
+                    passed.append(report.legal)
+                # Phase 2: score the candidates that passed, in the pool
+                # when there is one; any index it did not finish (a
+                # degraded pool, a crashed worker) is scored here.  The
+                # scores fold into the beam in candidate order.
+                scored = (pool.score_level(_level, [
+                    (idx, c) for idx, c in enumerate(level_candidates)
+                    if passed[idx]]) if pool is not None else {})
+                for idx, candidate in enumerate(level_candidates):
+                    if not passed[idx]:
+                        continue
+                    result = scored.get(idx)
+                    if result is None:
+                        if pool is not None:
+                            pool.stats["parent_evals"] = (
+                                int(pool.stats["parent_evals"]) + 1)
+                        with _obs.span("search.scoring"):
+                            result = call_with_timeout(
+                                lambda: score(candidate, nest, deps),
+                                candidate_timeout)
+                    value, timed_out = result
+                    if timed_out:
+                        timeouts += 1
+                        s = float("-inf")
+                    else:
+                        s = coerce_score(value)
+                    legal_count += 1
+                    if observing and s != float("-inf"):
+                        score_hist.observe(s)
+                    nxt.append((s, candidate))
+                    if speculate:
+                        admitted.append((s, len(candidate), admit_order,
+                                         candidate))
+                        admit_order += 1
+                    elif s > best_score or (s == best_score and
+                                            len(candidate) < len(best)):
+                        best_score, best = s, candidate
             nxt.sort(key=lambda p: -p[0])
             frontier = nxt[:beam]
             if observing:

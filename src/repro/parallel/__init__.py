@@ -1,24 +1,23 @@
-"""Sharded parallel evaluation for the beam search.
+"""Sharded parallel scoring for the beam search.
 
-:func:`repro.optimize.search.search` accepts ``jobs=N``; when ``N > 1``
-it shards each level's candidate evaluations across forked worker
-processes via :class:`~repro.parallel.pool.ShardedPool`.  Candidates
-cross the process boundary as step-spec wire forms (see
-:mod:`repro.parallel.worker`), results come back with legality-cache
-deltas that the parent replays in serial candidate order
-(:mod:`repro.parallel.merge`), which makes the parallel search
-bit-identical to the serial one — same winner, same score, same
-``explored``/``legal_count``, same ``cache_stats``.
+:func:`repro.optimize.search.search` accepts ``jobs=N``.  Every level's
+legality work stays in the calling process; when ``N > 1`` the
+candidates that pass are scored across forked worker processes via
+:class:`~repro.parallel.pool.ShardedPool`.  Candidates cross the process
+boundary as step-spec wire forms (see :mod:`repro.parallel.worker`) and
+scores come back; the search folds them into the beam in serial
+candidate order, so the parallel search is bit-identical to the serial
+one — same winner, same score, same ``explored``/``legal_count``, same
+``cache_stats`` — because only the parent ever touches the cache.
 
 Robustness: a crashed worker's unfinished candidates are requeued once
 onto a fresh worker; a second failure degrades the search to in-process
-evaluation for the rest of the call.  Per-candidate wall-clock budgets
+scoring for the rest of the call.  Per-candidate wall-clock budgets
 (``candidate_timeout``) score overrunning candidates ``-inf`` in both
 serial and parallel modes.  :mod:`repro.resilience.chaos` injects worker
 crashes and hangs for the robustness tests.
 """
 
-from repro.parallel.merge import Outcome, merge_outcome
 from repro.parallel.pool import ShardedPool
 from repro.parallel.worker import (
     call_with_timeout,
@@ -30,12 +29,10 @@ from repro.parallel.worker import (
 )
 
 __all__ = [
-    "Outcome",
     "ShardedPool",
     "call_with_timeout",
     "candidate_from_spec",
     "candidate_to_spec",
-    "merge_outcome",
     "step_from_spec",
     "step_roundtrips",
     "step_to_spec",

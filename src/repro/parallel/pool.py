@@ -2,12 +2,13 @@
 
 Lifecycle: one :class:`ShardedPool` per search call — or, for a
 long-lived caller such as the transformation service, one pool
-:meth:`~ShardedPool.rebind`-ed across many calls.  Each level's
-candidates are round-robin sharded over ``jobs`` workers forked fresh
-for that level (fork inherits the nest, dependence set, scoring closure
-and the current legality cache — nothing but results ever needs to be
-pickled *into* a worker).  Results stream back over a queue; the caller
-folds them in serial candidate order (:mod:`repro.parallel.merge`).
+:meth:`~ShardedPool.rebind`-ed across many calls.  The search decides
+every candidate's legality itself, in the parent; each level's legal
+candidates are then round-robin sharded over ``jobs`` workers forked
+fresh for that level, which only score them (fork inherits the nest,
+dependence set and scoring closure — nothing but results ever needs to
+be pickled *into* a worker).  Scores stream back over a queue; the
+caller folds them into the beam in serial candidate order.
 
 Robustness contract:
 
@@ -23,10 +24,10 @@ Robustness contract:
   and re-raised in the parent, as a serial search would have done.
 
 The pool is also *conservatively unavailable* — it degrades immediately
-at construction — when ``fork`` is unsupported, when a menu step does
-not survive the spec round-trip, or when the supplied cache lacks the
-delta protocol; ``search`` then silently runs serial, keeping ``jobs``
-an optimization knob rather than a compatibility constraint.
+at construction — when ``fork`` is unsupported or when a menu step does
+not survive the spec round-trip; ``search`` then silently scores
+in-process, keeping ``jobs`` an optimization knob rather than a
+compatibility constraint.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.obs import distributed as _dist
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
 from repro.parallel import worker as worker_mod
-from repro.parallel.merge import Outcome
 
 #: Grace period between observing a worker's death and declaring its
 #: unfinished candidates failed, so queue messages the dying process
@@ -52,21 +52,17 @@ _POLL = 0.05
 
 
 class ShardedPool:
-    """Shards beam-search candidate evaluation across forked workers."""
+    """Shards beam-search candidate scoring across forked workers."""
 
     def __init__(self, nest, deps, score, jobs: int,
                  candidate_timeout: Optional[float] = None,
                  stall_timeout: Optional[float] = None,
-                 menu: Optional[Sequence[Template]] = None,
-                 speculate: bool = False):
+                 menu: Optional[Sequence[Template]] = None):
         self.nest = nest
         self.deps = deps
         self.score = score
         self.jobs = max(1, int(jobs))
         self.candidate_timeout = candidate_timeout
-        #: Workers run the dep-only legality tier when set (see
-        #: ``evaluate_wire``); rebind() updates it per search call.
-        self.speculate = bool(speculate)
         if stall_timeout is None and candidate_timeout:
             # With a per-candidate budget, prolonged silence means a
             # worker is stuck somewhere the budget cannot reach.
@@ -121,8 +117,7 @@ class ShardedPool:
             get_metrics().counter("search.parallel.fallbacks").inc()
 
     def rebind(self, nest, deps, score,
-               menu: Optional[Sequence[Template]] = None,
-               speculate: bool = False) -> None:
+               menu: Optional[Sequence[Template]] = None) -> None:
         """Point the pool at a new workload without rebuilding it.
 
         A long-lived caller (the transformation service) keeps one pool
@@ -130,15 +125,13 @@ class ShardedPool:
         availability-probing — a fresh one per request; cumulative
         stats (`levels`, `dispatched`, `per_worker`, ...) keep
         accumulating across rebinds.  Workload-shaped degradation (a
-        menu that does not round-trip, a cache without the delta
-        protocol) is re-evaluated against the new workload; degradation
-        earned by repeated worker crashes is machine-shaped and stays
-        sticky for the pool's lifetime.
+        menu that does not round-trip) is re-evaluated against the new
+        workload; degradation earned by repeated worker crashes is
+        machine-shaped and stays sticky for the pool's lifetime.
         """
         self.nest = nest
         self.deps = deps
         self.score = score
-        self.speculate = bool(speculate)
         self.stats["rebinds"] = int(self.stats["rebinds"]) + 1
         if not self._crash_degraded:
             self.degraded = False
@@ -149,25 +142,17 @@ class ShardedPool:
 
     # -- per-level evaluation ----------------------------------------------
 
-    def evaluate_level(self, level: int,
-                       candidates: Sequence[Transformation],
-                       cache) -> Dict[int, Outcome]:
-        """Evaluate a level's candidates in workers; returns ``index ->
-        Outcome`` for the subset that workers completed.  The caller
-        evaluates any missing index in-process (and folds *all* indices
-        in serial order)."""
+    def score_level(self, level: int,
+                    candidates: Sequence[Tuple[int, Transformation]]
+                    ) -> Dict[int, Tuple[object, bool]]:
+        """Score a level's legal ``(index, candidate)`` pairs in workers;
+        returns ``index -> (value, timed_out)`` for the subset that
+        workers completed.  The caller scores any missing index
+        in-process (and folds *all* indices in serial order)."""
         if self.degraded or not candidates:
             return {}
-        if not (hasattr(cache, "legality_with_delta") and
-                hasattr(cache, "merge_delta")):
-            self._degrade("cache does not implement the delta protocol")
-            return {}
-        if self.speculate and not hasattr(cache, "dep_legality_with_delta"):
-            self._degrade(
-                "cache does not implement the speculative delta protocol")
-            return {}
-        tasks = [(idx, worker_mod.candidate_to_spec(c))
-                 for idx, c in enumerate(candidates)]
+        tasks = [(idx, worker_mod.candidate_to_spec(c), c._fold)
+                 for idx, c in candidates]
         workers = min(self.jobs, len(tasks))
         shards = [tasks[w::workers] for w in range(workers)]
         self.stats["levels"] = int(self.stats["levels"]) + 1
@@ -176,14 +161,13 @@ class ShardedPool:
             # Derived inside the span so forked children parent their
             # shipped subtrees under this shard's span.
             trace_ctx = _dist.current_context()
-            outcomes, failed = self._run(shards, cache, "primary",
-                                         trace_ctx)
+            outcomes, failed = self._run(shards, "primary", trace_ctx)
             if failed and not self.degraded:
                 self.stats["requeues"] = int(self.stats["requeues"]) + 1
                 if _obs.enabled():
                     get_metrics().counter("search.parallel.requeues").inc()
-                retried, failed_again = self._run([failed], cache,
-                                                  "requeue", trace_ctx)
+                retried, failed_again = self._run([failed], "requeue",
+                                                  trace_ctx)
                 outcomes.update(retried)
                 if failed_again:
                     self._degrade("worker failed twice on the same shard",
@@ -191,7 +175,7 @@ class ShardedPool:
             sp.tag(completed=len(outcomes))
         self.stats["dispatched"] = (int(self.stats["dispatched"]) +
                                     len(outcomes))
-        timed_out = sum(1 for o in outcomes.values() if o.timed_out)
+        timed_out = sum(1 for _, late in outcomes.values() if late)
         if timed_out:
             self.stats["timeouts"] = int(self.stats["timeouts"]) + timed_out
             if _obs.enabled():
@@ -199,28 +183,26 @@ class ShardedPool:
                     "search.parallel.timeouts").inc(timed_out)
         return outcomes
 
-    def _run(self, shards: List[List[Tuple[int, Tuple]]], cache,
-             kind: str,
+    def _run(self, shards: List[List[Tuple]], kind: str,
              trace_ctx: Optional[dict] = None,
-             ) -> Tuple[Dict[int, Outcome], List[Tuple[int, Tuple]]]:
-        """Run one worker generation; returns completed outcomes plus
-        the ``(index, wire)`` tasks of workers that died owing results.
-        Re-raises, in the parent, any exception a worker reported."""
+             ) -> Tuple[Dict[int, Tuple[object, bool]], List[Tuple]]:
+        """Run one worker generation; returns completed scores plus the
+        tasks of workers that died owing results.  Re-raises, in the
+        parent, any exception a worker reported."""
         ctx = self._ctx
         out_queue = ctx.Queue()
         procs: List = []
         owed: Dict[int, Dict[int, Tuple]] = {}
         for wid, shard in enumerate(shards):
-            owed[wid] = dict(shard)
+            owed[wid] = {task[0]: task for task in shard}
             proc = ctx.Process(
                 target=worker_mod.worker_main,
                 args=(wid, kind, shard, self.nest, self.deps, self.score,
-                      cache, self.candidate_timeout, out_queue,
-                      trace_ctx, self.speculate),
+                      self.candidate_timeout, out_queue, trace_ctx),
                 daemon=True)
             proc.start()
             procs.append(proc)
-        outcomes: Dict[int, Outcome] = {}
+        outcomes: Dict[int, Tuple[object, bool]] = {}
         failed: Dict[int, Tuple] = {}
         error: Optional[BaseException] = None
         done: set = set()
@@ -261,8 +243,8 @@ class ShardedPool:
             last_message = time.monotonic()
             tag = message[0]
             if tag == "result":
-                _, wid, idx, legal, value, timed_out, delta = message
-                outcomes[idx] = Outcome(legal, value, timed_out, delta)
+                _, wid, idx, value, timed_out = message
+                outcomes[idx] = (value, timed_out)
                 owed[wid].pop(idx, None)
                 key = f"{kind}{wid}"
                 per_worker[key] = per_worker.get(key, 0) + 1
@@ -294,7 +276,7 @@ class ShardedPool:
         out_queue.close()
         if error is not None:
             raise error
-        return outcomes, sorted(failed.items())
+        return outcomes, [failed[idx] for idx in sorted(failed)]
 
     def _mark_dead(self, wid: int, owed, failed, dead, observing,
                    metrics) -> None:

@@ -14,16 +14,15 @@ The naming mirrors the templates' serialization protocol:
 reduction, mirroring how the search composes candidates
 (``base.then(step, reduce=False)``); :func:`step_roundtrips` verifies
 that the rebuilt step has the same legality-cache content key as the
-original, which is what makes worker-side cache deltas interchangeable
-with parent-side evaluations.
+original, so a worker scores the very sequence the parent tested.
 
 Messages (all picklable tuples, tagged by their first element):
 
-``("result", wid, idx, legal, value, timed_out, delta)``
-    One candidate's evaluation: legality verdict, raw score value
-    (``None`` when illegal or timed out), whether the scoring call
-    overran ``candidate_timeout``, and the legality-cache delta to
-    replay in the parent (see ``LegalityCache.legality_with_delta``).
+``("result", wid, idx, value, timed_out)``
+    One candidate's score: the raw value (``None`` when timed out) and
+    whether the scoring call overran ``candidate_timeout``.  Legality
+    is not the worker's business: the parent tests every candidate
+    before it ships the ones that pass.
 
 ``("error", wid, idx, payload)``
     The scoring function raised: the exception crosses back to the
@@ -192,41 +191,33 @@ def exception_from_wire(wire: Tuple) -> BaseException:
 
 # -- the worker loop --------------------------------------------------------
 
-def evaluate_wire(wire: Tuple, kind: str, index: int, nest, deps, score,
-                  cache, timeout: Optional[float],
-                  speculate: bool = False) -> Tuple:
-    """Evaluate one candidate: ``(legal, value, timed_out, delta)``.
-
-    With *speculate* the legality tier is the dep-only verdict
-    (``dep_legality_with_delta``): ``legal`` then means *dep-legal*, and
-    the parent's admission control decides whether to pay the exact
-    verdict (see :func:`repro.optimize.search.search`)."""
+def score_wire(wire: Tuple, fold, kind: str, index: int, nest, deps,
+               score, timeout: Optional[float]) -> Tuple:
+    """Score one candidate: ``(value, timed_out)``.  *fold* is the fold
+    memo the parent's legality test left on the candidate (its final
+    headers, and the dependence set of an exact verdict) or None; the
+    rebuilt candidate takes it over, so the scorer neither folds the
+    sequence again nor re-tests it in ``apply``."""
     candidate = candidate_from_spec(wire)
-    if speculate:
-        report, delta = cache.dep_legality_with_delta(candidate, nest, deps)
-    else:
-        report, delta = cache.legality_with_delta(candidate, nest, deps)
-    if not report.legal:
-        return False, None, False, delta
+    if fold is not None:
+        candidate._remember_fold(*fold)
 
     def scored():
         _chaos.maybe_hang(kind, index)
         return score(candidate, nest, deps)
 
     value, timed_out = call_with_timeout(scored, timeout)
-    return True, (None if timed_out else value), timed_out, delta
+    return (None if timed_out else value), timed_out
 
 
-def worker_main(worker_id: int, kind: str, shard: List[Tuple[int, Tuple]],
-                nest, deps, score, cache, timeout: Optional[float],
-                out_queue, trace_ctx: Optional[dict] = None,
-                speculate: bool = False) -> None:
-    """Entry point of a forked evaluation worker.
+def worker_main(worker_id: int, kind: str, shard: List[Tuple],
+                nest, deps, score, timeout: Optional[float],
+                out_queue, trace_ctx: Optional[dict] = None) -> None:
+    """Entry point of a forked scoring worker.
 
-    *shard* is a list of ``(index, candidate_wire)`` pairs in serial
-    candidate order; *cache* is the fork-inherited copy of the parent's
-    legality cache (level-start state); each delta logs the values the
-    candidate's legality fold read or computed on it.  *trace_ctx* (only
+    *shard* is a list of ``(index, candidate_wire, fold)`` tasks in
+    serial candidate order, every candidate already legal for *nest*
+    and *deps* (see :func:`score_wire`).  *trace_ctx* (only
     passed when the parent is tracing) joins this worker's spans to the
     parent's distributed trace: the fork-inherited tracer is replaced by
     a fresh one — a fresh process tag, so span ids cannot collide with
@@ -244,7 +235,7 @@ def worker_main(worker_id: int, kind: str, shard: List[Tuple[int, Tuple]],
                                   candidates=len(shard))
             root_sp = root_cm.__enter__()
     try:
-        for index, wire in shard:
+        for index, wire, fold in shard:
             _chaos.maybe_crash(kind, index)
             try:
                 # error-kind chaos rides the exception transport back to
@@ -253,20 +244,17 @@ def worker_main(worker_id: int, kind: str, shard: List[Tuple[int, Tuple]],
                 _chaos.inject("pool.worker")
                 if tracer is not None:
                     with tracer.span("pool.candidate", index=index):
-                        legal, value, timed_out, delta = evaluate_wire(
-                            wire, kind, index, nest, deps, score, cache,
-                            timeout, speculate)
+                        value, timed_out = score_wire(
+                            wire, fold, kind, index, nest, deps, score,
+                            timeout)
                 else:
-                    legal, value, timed_out, delta = evaluate_wire(
-                        wire, kind, index, nest, deps, score, cache,
-                        timeout, speculate)
+                    value, timed_out = score_wire(
+                        wire, fold, kind, index, nest, deps, score, timeout)
             except Exception as exc:
                 out_queue.put(
                     ("error", worker_id, index, exception_to_wire(exc)))
                 break  # a serial search would have aborted here too
-            out_queue.put(
-                ("result", worker_id, index, legal, value, timed_out,
-                 delta))
+            out_queue.put(("result", worker_id, index, value, timed_out))
         if root_sp is not None:
             from repro.obs import distributed as _dist
             root_cm.__exit__(None, None, None)

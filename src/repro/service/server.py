@@ -32,11 +32,9 @@ Batching
 --------
 
 The processing loop drains up to ``batch_max`` queued requests per
-cycle.  Legality requests within a batch that target the same
-``(nest, level)`` are evaluated together through the shared pool
-(one fork per *batch group*, not per request); their cache deltas
-replay into the warm legality cache, so a later identical request is a
-pure cache hit.
+cycle and answers them in arrival order.  Legality requests run in this
+process through the warm legality cache, so a later identical request
+is a pure cache hit; the pool only scores search candidates.
 
 The transports (:func:`serve_stdio`, :func:`serve_tcp`,
 :func:`pump_frames`) serve any :class:`~repro.service.admission.
@@ -57,7 +55,6 @@ from repro.core.spec import parse_steps
 from repro.deps.analysis import LEVELS
 from repro.obs import trace as _obs
 from repro.obs.metrics import get_metrics
-from repro.parallel.merge import merge_outcome
 from repro.parallel.worker import call_with_timeout
 from repro.resilience import chaos as _chaos
 from repro.resilience import guards as _guards
@@ -104,12 +101,6 @@ _OPTIONS = {
 }
 
 
-def _zero_score(transformation, nest, deps) -> float:
-    """Scoring stub for pooled legality batches: legality is the whole
-    question, so every legal candidate scores alike."""
-    return 0.0
-
-
 class TransformationService(AdmissionFront):
     """Warm-state request processor behind ``repro serve``."""
 
@@ -154,7 +145,7 @@ class TransformationService(AdmissionFront):
         self.pool = None
         if self.jobs > 1:
             from repro.parallel.pool import ShardedPool
-            self.pool = ShardedPool(None, None, _zero_score, self.jobs)
+            self.pool = ShardedPool(None, None, None, self.jobs)
         self._started = time.monotonic()
         self._last_tick = time.monotonic()
         self._since_checkpoint = 0
@@ -165,7 +156,7 @@ class TransformationService(AdmissionFront):
         self._idem_waiters: Dict[str, List[Tuple[object, Callable]]] = {}
         self.counters.update({
             "completed": 0, "errors": 0, "timeouts": 0,
-            "batches": 0, "max_batch": 0, "batched_legality": 0,
+            "batches": 0, "max_batch": 0,
             "idem_replays": 0, "dropped_replies": 0,
             "by_op": {},
         })
@@ -238,9 +229,8 @@ class TransformationService(AdmissionFront):
             if len(batch) > int(self.counters["max_batch"]):
                 self.counters["max_batch"] = len(batch)
             with _obs.span("service.batch", size=len(batch)):
-                prefetched = self._prefetch_legality(batch)
                 for pending in batch:
-                    response = self._handle(pending, prefetched)
+                    response = self._handle(pending)
                     # The response is recorded in the idem window BEFORE
                     # the send-or-drop decision: a drop models a lost
                     # reply, and the client's replay must find the
@@ -310,7 +300,7 @@ class TransformationService(AdmissionFront):
                     pass
             time.sleep(interval)
 
-    def _handle(self, pending: Pending, prefetched: Dict[int, object]):
+    def _handle(self, pending: Pending):
         op, params = pending.op, pending.params
         start = time.monotonic()
         code: Optional[str] = None
@@ -327,13 +317,9 @@ class TransformationService(AdmissionFront):
                 _chaos.inject("service.dispatch")
                 _guards.check_rss()
                 handler = self._dispatch[op]
-                if op == "legality":
-                    fn = lambda: handler(params,  # noqa: E731
-                                         prefetched.get(id(pending)))
-                else:
-                    fn = lambda: handler(params)  # noqa: E731
                 budget = self._outer_budget(op, params)
-                value, timed_out = call_with_timeout(fn, budget)
+                value, timed_out = call_with_timeout(
+                    lambda: handler(params), budget)
                 if timed_out:
                     raise ProtocolError(
                         TIMEOUT,
@@ -400,51 +386,6 @@ class TransformationService(AdmissionFront):
             return None
         return self.request_timeout
 
-    # -- pooled legality batching ------------------------------------------
-
-    def _prefetch_legality(self, batch) -> Dict[int, object]:
-        """Evaluate same-nest legality requests of *batch* together
-        through the shared pool; returns ``id(pending) ->
-        LegalityReport`` for the subset the workers completed (the
-        per-request handler computes the rest — and takes warm-cache
-        hits for everything merged here)."""
-        if self.pool is None or self.pool.degraded:
-            return {}
-        groups: Dict[Tuple, List[Tuple[Pending, object]]] = {}
-        for pending in batch:
-            if pending.op != "legality":
-                continue
-            try:
-                nest, level = self._nest_level(pending.params)
-                transformation = self._steps(pending.params, nest.depth)
-            except Exception:
-                continue  # the handler will surface the real error
-            groups.setdefault((nest, level), []).append(
-                (pending, transformation))
-        out: Dict[int, object] = {}
-        for (nest, level), members in groups.items():
-            if len(members) < 2:
-                continue
-            try:
-                deps = self.state.deps(nest, level)
-                self.pool.rebind(nest, deps, _zero_score)
-                outcomes = self.pool.evaluate_level(
-                    0, [t for _, t in members], self.state.legality_cache)
-            except Exception:
-                continue  # fall back to per-request serial evaluation
-            self.counters["batched_legality"] = (
-                int(self.counters["batched_legality"]) + len(outcomes))
-            if _obs.enabled():
-                get_metrics().counter(
-                    "service.batched_legality").inc(len(outcomes))
-            for idx, (pending, transformation) in enumerate(members):
-                outcome = outcomes.get(idx)
-                if outcome is not None:
-                    out[id(pending)] = merge_outcome(
-                        self.state.legality_cache, nest, deps, outcome,
-                        transformation)
-        return out
-
     # -- shared param plumbing ---------------------------------------------
 
     def _nest_level(self, params: dict):
@@ -487,14 +428,12 @@ class TransformationService(AdmissionFront):
                 "count": len(deps),
                 "deps": [str(v) for v in deps]}
 
-    def _op_legality(self, params: dict, prefetched=None) -> dict:
+    def _op_legality(self, params: dict) -> dict:
         nest, level = self._nest_level(params)
         transformation = self._steps(params, nest.depth)
         deps = self.state.deps(nest, level)
-        report = prefetched
-        if report is None:
-            report = self.state.legality_cache.legality(
-                transformation, nest, deps)
+        report = self.state.legality_cache.legality(
+            transformation, nest, deps)
         doc = {"legal": report.legal,
                "sequence": transformation.signature(),
                "spec": transformation.to_spec(),
@@ -668,7 +607,6 @@ class TransformationService(AdmissionFront):
                 "count": self.counters["batches"],
                 "max_size": self.counters["max_batch"],
                 "batch_max": self.batch_max,
-                "batched_legality": self.counters["batched_legality"],
             },
             "resilience": {
                 "idem_window": len(self._idem_done),

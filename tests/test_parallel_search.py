@@ -2,8 +2,8 @@
 
 The headline property is differential: ``search(..., jobs=N)`` must be
 *field-for-field identical* to ``jobs=1`` — winner signature, score,
-``explored``, ``legal_count`` and the merged ``cache_stats`` — across
-the example corpus and under injected worker crashes.  The satellite
+``explored``, ``legal_count`` and ``cache_stats`` — across the example
+corpus and under injected worker crashes.  The satellite
 regressions (NaN scores, error narrowing, worker exception transport,
 wire/pickle round-trips) live here too because they are all boundaries
 of the same subsystem.
@@ -18,7 +18,7 @@ import pytest
 
 from repro.cache import Layout
 from repro.core.legality_cache import LegalityCache, template_key
-from repro.core.sequence import LegalityReport, Transformation
+from repro.core.sequence import Transformation
 from repro.core.templates.reverse_permute import ReversePermute, interchange
 from repro.core.templates.unimodular import Unimodular
 from repro.deps.analysis import analyze
@@ -76,7 +76,7 @@ def assert_identical(serial, parallel):
 @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
 def test_jobs2_identical_across_corpus(path):
     """Property over the corpus: every field of the result, including
-    the merged cache stats, matches the serial search."""
+    the cache stats, matches the serial search."""
     case = load_case(path)
     nest = parse_nest(case["nest"])
     deps = analyze(nest)
@@ -115,10 +115,9 @@ def test_jobs4_identical_with_locality_score():
 @pytest.mark.parametrize("guided", [False, True],
                          ids=["brute", "prune-speculate"])
 def test_jobs2_identical_with_bounded_cache(guided):
-    """A bounded cache touches and evicts as it goes: the pooled run's
-    replay must make the serial run's touches and evictions, and serve
-    the reads a worker took from its forked copy, for the stats to
-    match."""
+    """A bounded cache touches and evicts as it goes: the pooled run
+    must make the serial run's touches and evictions, in the same
+    order, for the stats to match."""
     nest = parse_nest(MATMUL)
     deps = analyze(nest)
     runs = [search(nest, deps, config=SearchConfig(
@@ -129,8 +128,8 @@ def test_jobs2_identical_with_bounded_cache(guided):
 
 
 def test_shared_cache_keeps_serving_after_parallel_search(matmul_nest):
-    """Entries merged from worker deltas are first-class: a follow-up
-    serial search on the same cache hits them."""
+    """A pooled search fills the caller's cache as a serial one does: a
+    follow-up serial search on the same cache hits its entries."""
     deps = depset((0, 0, "+"))
     cache = LegalityCache()
     search(matmul_nest, deps,
@@ -194,21 +193,40 @@ def test_unserializable_menu_degrades_but_still_searches(matmul_nest):
     assert "round-trip" in parallel.parallel["degrade_reason"]
 
 
-def test_cache_without_delta_protocol_degrades(matmul_nest):
+def test_cache_with_only_legality_searches_in_parallel(matmul_nest):
+    """Legality runs in the parent whatever ``jobs`` is, so a substitute
+    cache needs nothing beyond ``legality`` for the pool to score."""
     class PlainPolicy:
         def legality(self, transformation, nest, deps):
             return transformation.legality(nest, deps)
 
     deps = depset((0, 0, "+"))
     serial = search(matmul_nest, deps,
-                    config=SearchConfig(depth=1, beam=6, cache=PlainPolicy()))
+                    config=SearchConfig(depth=2, beam=6, cache=PlainPolicy()))
     parallel = search(matmul_nest, deps,
-                      config=SearchConfig(depth=1, beam=6,
+                      config=SearchConfig(depth=2, beam=6,
                                           cache=PlainPolicy(), jobs=2))
-    assert parallel.transformation.signature() == \
-        serial.transformation.signature()
-    assert parallel.parallel["degraded"]
-    assert "delta protocol" in parallel.parallel["degrade_reason"]
+    assert repr(parallel) == repr(serial)
+    assert parallel.parallel["degraded"] is False
+    assert parallel.parallel["dispatched"] > 0
+
+
+@pytest.mark.parametrize("guided", [False, True],
+                         ids=["brute", "prune-speculate"])
+def test_pool_scores_only_candidates_that_passed(matmul_nest, guided):
+    """The pool receives a candidate only once the parent has found it
+    legal (and, speculating, admitted it): every dispatched candidate
+    is one ``legal_count`` counts, the identity seed excepted.  Brute
+    search on matmul rejects 14 of its 63 candidates; pruning discards
+    those before any legality work."""
+    deps = analyze(matmul_nest)
+    result = search(matmul_nest, deps, config=SearchConfig(
+        depth=2, beam=6, jobs=2, prune=guided, speculate=guided))
+    stats = result.parallel
+    assert not stats["degraded"] and stats["parent_evals"] == 0
+    if not guided:
+        assert result.explored > result.legal_count
+    assert stats["dispatched"] == result.legal_count - 1
 
 
 def test_worker_exception_propagates_to_parent(matmul_nest):
@@ -376,37 +394,3 @@ def test_domain_objects_pickle_roundtrip(matmul_nest):
     back = pickle.loads(pickle.dumps(violation))
     assert back.template == "block" and back.loop == 2 and back.var == "j"
     assert str(back) == str(violation)
-
-
-# -- the delta protocol directly --------------------------------------------
-
-def test_delta_replay_reproduces_serial_stats(matmul_nest):
-    deps = depset((0, 0, "+"))
-    candidates = [Transformation.of(step)
-                  for step in default_candidates(3)]
-
-    worker_cache = LegalityCache()
-    parent = LegalityCache()
-    serial = LegalityCache()
-    for T in candidates:
-        report, delta = worker_cache.legality_with_delta(
-            T, matmul_nest, deps)
-        merged = parent.merge_delta(matmul_nest, deps, delta)
-        direct = serial.legality(T, matmul_nest, deps)
-        assert merged.legal == direct.legal == report.legal
-        assert merged.reason == direct.reason
-    assert parent.stats == serial.stats
-
-    # Replaying the same deltas again only produces verdict hits, like
-    # re-asking the serial cache.
-    for T in candidates:
-        _, delta = worker_cache.legality_with_delta(T, matmul_nest, deps)
-        parent.merge_delta(matmul_nest, deps, delta)
-        serial.legality(T, matmul_nest, deps)
-    assert parent.stats == serial.stats
-
-
-def test_merge_delta_rejects_unknown_entries(matmul_nest):
-    with pytest.raises(ValueError):
-        LegalityCache().merge_delta(matmul_nest, depset((0, 0, "+")),
-                                    [("bogus",)])

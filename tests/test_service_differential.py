@@ -2,7 +2,7 @@
 field-identical to a cold in-process call through ``repro.api``.
 
 The jobs=2 variants additionally pin down that the shared pool —
-rebound across requests, batching same-nest legality — changes nothing
+rebound across requests, scoring search candidates — changes nothing
 about the answers, only about the forking economics.
 """
 
@@ -73,10 +73,6 @@ def test_legality_batch_matches_in_process(jobs):
         assert got["spec"] == transformation.to_spec()
         if not report.legal:
             assert got["reason"] == report.reason
-    if jobs == 2 and not service.pool.degraded:
-        assert int(service.counters["batched_legality"]) > 0, \
-            "same-batch legality requests should ride the shared pool"
-        assert int(service.pool.stats["rebinds"]) >= 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
