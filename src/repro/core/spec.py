@@ -58,8 +58,11 @@ def split_calls(spec: str) -> List[str]:
 
 
 def parse_call(text: str) -> Tuple[str, List]:
-    """``name(arg, ...)`` -> (name, [args]); args via literal_eval with
-    bare identifiers allowed (block sizes may be symbolic)."""
+    """``name(arg, ...)`` -> (name, [args]).  An argument that is an
+    integer, a signed integer, a quoted string (the fuzzer writes
+    ``'precise'``), or a list or tuple of such values becomes that
+    value; any other argument stays its text (block sizes may be
+    symbolic)."""
     open_paren = text.find("(")
     if open_paren < 0 or not text.endswith(")"):
         raise SpecError(f"malformed step {text!r}; expected name(args)")
@@ -83,10 +86,30 @@ def parse_call(text: str) -> Tuple[str, List]:
     parsed = []
     for a in args:
         try:
-            parsed.append(ast.literal_eval(a))
+            parsed.append(_literal(ast.parse(a, mode="eval").body))
         except (ValueError, SyntaxError):
             parsed.append(a)  # symbolic size / identifier
     return name, parsed
+
+
+def _literal(node: ast.expr):
+    """The value of a step argument's expression *node*: an int, an int
+    under one unary sign, a string, or a list or tuple of such values;
+    ValueError for any other form.  (``ast.literal_eval`` accepts more,
+    and each call leaves a reference cycle of nested closures behind.)"""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, str):
+        return node.value
+    if (isinstance(node, ast.UnaryOp) and
+            isinstance(node.op, (ast.UAdd, ast.USub)) and
+            isinstance(node.operand, ast.Constant) and
+            type(node.operand.value) is int):
+        value = node.operand.value
+        return -value if isinstance(node.op, ast.USub) else value
+    if isinstance(node, ast.List):
+        return [_literal(e) for e in node.elts]
+    if isinstance(node, ast.Tuple):
+        return tuple(_literal(e) for e in node.elts)
+    raise ValueError("not an integer literal")
 
 
 def _ints(args, count: Optional[int] = None, what: str = "argument"):
@@ -124,7 +147,8 @@ def build_step(name: str, args: List, n: int) -> Template:
         return ReversePermute(n, rev, args[1])
     if name == "skew":
         if len(args) == 2:
-            target, source, factor = args[0], args[1], 1
+            target, source = _ints(args, 2, "skew parameter")
+            factor = 1
         else:
             target, source, factor = _ints(args, 3, "skew parameter")
         return Unimodular(n, IntMatrix.skew(n, target - 1, source - 1,

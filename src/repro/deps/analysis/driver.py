@@ -583,33 +583,38 @@ class DependenceAnalyzer:
 
     def _enumerate(self, problem: _PairProblem) -> List[DepVector]:
         out: List[DepVector] = []
-        names = problem.index_names
-
-        def descend(level: int, directions: Dict[str, str],
-                    zero_prefix: bool) -> None:
-            if level == self.n:
-                if zero_prefix:
-                    return  # all-zero: loop-independent, not reported
-                entries = [self._refine_entry(problem, directions, nm)
-                           for nm in names]
-                out.append(DepVector(entries))
-                return
-            name = names[level]
-            if level in problem.opaque_levels:
-                # No constraints exist on an opaque level: emit the
-                # lex-nonnegative cover for it directly.
-                choices = ["0", "+"] if zero_prefix else ["*"]
-            else:
-                choices = (["0", "+"] if zero_prefix else ["0", "+", "-"])
-            for code in choices:
-                directions[name] = code
-                if self._feasible(problem, directions):
-                    still_zero = zero_prefix and code == "0"
-                    descend(level + 1, directions, still_zero)
-            del directions[name]
-
-        descend(0, {}, True)
+        self._descend(problem, 0, {}, True, out)
         return out
+
+    def _descend(self, problem: _PairProblem, level: int,
+                 directions: Dict[str, str], zero_prefix: bool,
+                 out: List[DepVector]) -> None:
+        """Append to *out* the feasible direction vectors that extend
+        *directions* (fixed for the first *level* indices), depth first.
+        A method, not a closure over itself: a self-referencing closure
+        is a reference cycle that holds the whole pair problem until the
+        cyclic collector runs."""
+        names = problem.index_names
+        if level == self.n:
+            if zero_prefix:
+                return  # all-zero: loop-independent, not reported
+            entries = [self._refine_entry(problem, directions, nm)
+                       for nm in names]
+            out.append(DepVector(entries))
+            return
+        name = names[level]
+        if level in problem.opaque_levels:
+            # No constraints exist on an opaque level: emit the
+            # lex-nonnegative cover for it directly.
+            choices = ["0", "+"] if zero_prefix else ["*"]
+        else:
+            choices = (["0", "+"] if zero_prefix else ["0", "+", "-"])
+        for code in choices:
+            directions[name] = code
+            if self._feasible(problem, directions):
+                self._descend(problem, level + 1, directions,
+                              zero_prefix and code == "0", out)
+        del directions[name]
 
     def _scalar_accesses(self) -> List[ArrayAccess]:
         """Zero-subscript accesses of every assigned scalar that does not

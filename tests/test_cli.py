@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.core.spec import SpecError, build_step, parse_steps
+from repro.core.spec import SpecError, build_step, parse_call, parse_steps
 from repro.core import (
     Block,
     Coalesce,
@@ -119,6 +119,25 @@ class TestStepLanguage:
     def test_malformed_call(self):
         with pytest.raises(SpecError):
             parse_steps("interchange 1 2", 2)
+
+    @pytest.mark.parametrize("text,args", [
+        ("revpermute([0, 1], [2, 1])", [[0, 1], [2, 1]]),
+        ("skew(-1, +2, (1, [2]))", [-1, 2, (1, [2])]),
+        ("block(1, 2, n/2, 'precise')", [1, 2, "n/2", "precise"]),
+        ("reverse(1.5, True, None, --1)", ["1.5", "True", "None", "--1"]),
+    ])
+    def test_call_arguments(self, text, args):
+        """Integers, one-signed integers, strings, and lists or tuples of
+        them are values; any other argument stays its text."""
+        assert parse_call(text) == (text.split("(")[0], args)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("reverse(True)", "expected integer loop numbers, got 'True'"),
+        ("skew(2, n)", "expected integer skew parameters, got 'n'"),
+    ])
+    def test_non_integer_arguments_are_spec_errors(self, spec, message):
+        with pytest.raises(SpecError, match=message):
+            parse_steps(spec, 2)
 
 
 class TestCommands:
