@@ -4,16 +4,15 @@
 The contract under test is distributed tracing through the CLI, end to
 end:
 
-* ``repro serve --tcp --fleet 2 --jobs 2 --trace-json ...`` turns the
-  whole fleet's instrumentation on — front end, both supervised
-  workers, and their forked pool children;
+* ``repro serve --tcp --fleet 2 --trace-json ...`` turns the whole
+  fleet's instrumentation on — front end and both supervised workers;
 * ``repro client --trace-json ...`` roots one trace per scripted
   request, sends the context on the wire, and exports the *stitched*
   cross-process span tree shipped back on the responses;
 * therefore a single ``search`` request against the fleet must yield
-  **exactly one trace id** whose records cross at least three process
-  boundaries (client → front end → worker service → pool child) and
-  form a closed tree (every span's parent is in the export);
+  **exactly one trace id** whose records span at least three
+  processes (client → front end → worker service) and form a closed
+  tree (every span's parent is in the export);
 * ``repro stats`` against the same fleet must return the merged
   telemetry document, with the workers' summed request counters equal
   to the front end's own count and percentile estimates on the op's
@@ -47,7 +46,7 @@ enddo
 
 #: Span names the stitched tree must contain, one per layer.
 REQUIRED_NAMES = ("client.request", "fleet.admit", "fleet.request",
-                  "service.request", "pool.worker", "pool.candidate")
+                  "service.request")
 
 
 def free_port():
@@ -98,8 +97,8 @@ def check_trace(path):
             f"span {required!r} missing from the stitched trace "
             f"(have {sorted(names)})")
     procs = {r["proc"] for r in traced}
-    assert len(procs) >= 4, (
-        f"expected >= 4 processes (>= 3 boundaries) in the trace, "
+    assert len(procs) >= 3, (
+        f"expected >= 3 processes in the trace, "
         f"got {len(procs)}: {sorted(procs)}")
     ids = {r["id"] for r in traced}
     roots = []
@@ -161,7 +160,7 @@ def main():
     serve = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--tcp",
          "--host", "127.0.0.1", "--port", str(port),
-         "--fleet", "2", "--fleet-dir", fleet_dir, "--jobs", "2",
+         "--fleet", "2", "--fleet-dir", fleet_dir,
          "--trace-json", os.path.join(tmpdir, "frontend_trace.jsonl")],
         env=src_env())
     try:

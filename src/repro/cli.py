@@ -33,10 +33,10 @@ Commands
     JSON document: per-phase profile, metrics snapshot, search and cache
     summaries.
 
-``serve [--stdio | --tcp --host H --port P] [--jobs N] ...``
+``serve [--stdio | --tcp --host H --port P] ...``
     Run the long-lived transformation service: newline-delimited JSON
-    requests over stdio or TCP against warm caches and a shared worker
-    pool (see :mod:`repro.service` and the Service section of
+    requests over stdio or TCP against warm caches, answered in-process
+    (see :mod:`repro.service` and the Service section of
     ``docs/API.md``).  ``--supervise`` (TCP only) adds a crash/hang
     supervisor with warm-state restore; ``--chaos SPEC`` arms fault
     injection (:mod:`repro.resilience`).
@@ -70,9 +70,11 @@ span stream — stitched across processes when remote spans were
 collected — as JSON lines) — both install the :mod:`repro.obs`
 tracer for the duration of the command — plus ``--jobs N`` and
 ``--candidate-timeout S``, which tune parallel candidate scoring
-where the command searches (``search``, ``profile``, ``serve``) and are
+where the command searches (``search``, ``profile``) and are
 accepted-but-inert elsewhere so wrapper scripts can pass one uniform
-flag set.
+flag set.  ``serve`` and ``client`` take them as that inert set too: a
+service ``search`` request sets its own budget with its
+``candidate_timeout`` param.
 
 Exit codes: ``0`` success; ``1`` operation failed (illegal sequence,
 failed service request); ``2`` bad input or usage (parse/spec errors,
@@ -431,9 +433,9 @@ def cmd_serve(args) -> int:
     """Run the long-lived transformation service until drained.
 
     The server keeps warm state (legality cache, compiled-nest cache,
-    parse/analysis memos) and one shared worker pool across the whole
-    session; see :mod:`repro.service`.  It exits cleanly on SIGTERM,
-    SIGINT, stdin EOF (stdio mode) or a ``shutdown`` request.
+    parse/analysis memos) across the whole session and answers every
+    request in-process; see :mod:`repro.service`.  It exits cleanly on
+    SIGTERM, SIGINT, stdin EOF (stdio mode) or a ``shutdown`` request.
 
     ``--supervise`` (TCP only) runs the server as a supervised child:
     crashes and hangs restart it with backoff, warm state survives via
@@ -469,7 +471,6 @@ def cmd_serve(args) -> int:
                 worker_args += ["--chaos-state", args.chaos_state]
         router = FleetRouter(
             args.fleet, directory=directory,
-            jobs=args.jobs,
             hang_timeout=args.hang_timeout,
             max_restarts=args.max_restarts,
             restart_window=args.restart_window,
@@ -513,7 +514,6 @@ def cmd_serve(args) -> int:
                              hang_timeout=args.hang_timeout,
                              checkpoint_every=args.checkpoint_every,
                              request_timeout=args.request_timeout,
-                             jobs=args.jobs,
                              options=_child_serve_options(args)),
             heartbeat_file=heartbeat,
             hang_timeout=args.hang_timeout,
@@ -538,7 +538,6 @@ def cmd_serve(args) -> int:
     from repro.service import TransformationService, serve_stdio, serve_tcp
 
     service = TransformationService(
-        jobs=args.jobs,
         request_timeout=args.request_timeout,
         heartbeat_file=args.heartbeat_file,
         hang_grace=max(args.hang_timeout / 2.0, 0.2),
@@ -610,9 +609,6 @@ def cmd_client(args) -> int:
             return 2
         requests.append(req)
 
-    serve_args = []
-    if args.jobs and args.jobs > 1:
-        serve_args += ["--jobs", str(args.jobs)]
     if args.connect:
         host, _, port = args.connect.rpartition(":")
         if not host or not port.isdigit():
@@ -633,10 +629,10 @@ def cmd_client(args) -> int:
         if args.retries:
             from repro.resilience.retry import RetryPolicy, RetryingClient
             client = RetryingClient.spawn(
-                serve_args, policy=RetryPolicy(attempts=args.retries + 1),
+                policy=RetryPolicy(attempts=args.retries + 1),
                 attempt_timeout=args.attempt_timeout)
         else:
-            client = ServiceClient.spawn(serve_args)
+            client = ServiceClient.spawn()
     try:
         if obs.enabled():
             responses = _traced_replay(client, requests)
@@ -758,15 +754,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run with the tracer on and export the span "
                             "stream to PATH as JSON lines")
 
-    def add_parallel(p, jobs_help="worker processes for candidate "
-                     "scoring (1 = serial; results are identical "
-                     "either way)"):
+    def add_parallel(p):
         p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help=jobs_help)
+                       help="worker processes for candidate scoring in "
+                            "search and profile (1 = serial; results "
+                            "are identical either way; inert elsewhere)")
         p.add_argument("--candidate-timeout", dest="candidate_timeout",
                        type=float, default=None, metavar="SECONDS",
-                       help="wall-clock budget per candidate scoring; "
-                            "overrunning candidates score -inf")
+                       help="wall-clock budget per candidate scoring "
+                            "in search and profile; overrunning "
+                            "candidates score -inf")
 
     def add_model_guided(p):
         p.add_argument("--prune", action="store_true", default=False,
@@ -966,8 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "supervised restarts (chosen automatically "
                             "under --supervise)")
     add_observe(p_srv)
-    add_parallel(p_srv, jobs_help="size of the shared worker pool for "
-                 "search candidate scoring (default 1)")
+    add_parallel(p_srv)
     add_model_guided(p_srv)
     p_srv.set_defaults(func=cmd_serve)
 
@@ -994,8 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "timeout; a hung server becomes a retried "
                            "transport failure")
     add_observe(p_cl)
-    add_parallel(p_cl, jobs_help="--jobs for the spawned server "
-                 "(ignored with --connect)")
+    add_parallel(p_cl)
     p_cl.set_defaults(func=cmd_client)
 
     p_st = sub.add_parser(

@@ -42,7 +42,6 @@ class WorkerHandle:
 
     def __init__(self, index: int, directory: str, *,
                  host: str = "127.0.0.1",
-                 jobs: int = 1,
                  hang_timeout: float = 10.0,
                  max_restarts: int = 5,
                  restart_window: float = 60.0,
@@ -76,7 +75,7 @@ class WorkerHandle:
             serve_child_argv(host, self.port, self.heartbeat,
                              self.checkpoint, hang_timeout=hang_timeout,
                              checkpoint_every=checkpoint_every,
-                             request_timeout=request_timeout, jobs=jobs,
+                             request_timeout=request_timeout,
                              options=extra),
             heartbeat_file=self.heartbeat,
             hang_timeout=hang_timeout,

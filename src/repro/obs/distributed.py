@@ -1,9 +1,9 @@
 """Distributed tracing: one stitched span tree across processes.
 
 A request that crosses process boundaries — CLI client → fleet front
-end → router → worker service → forked pool child — carries a *trace
-context* on the wire: ``{"id": <trace id>, "parent": <qualified span
-id>}``.  Each hop :func:`adopt`-s the context (opening a local span
+end → router → worker service, or a ``search(jobs=N)`` caller → its
+forked pool children — carries a *trace context* on the wire:
+``{"id": <trace id>, "parent": <qualified span id>}``.  Each hop :func:`adopt`-s the context (opening a local span
 tagged with the trace id), does its work under the ordinary
 :mod:`repro.obs.trace` instrumentation, and — when replying — calls
 :func:`ship` to extract its completed subtree, rewrite the local span

@@ -220,7 +220,7 @@ class SearchConfig:
     """Tuning for :func:`search`, replacing its historical sprawl of
     keyword arguments.
 
-    The first seven fields are the historical tuning surface unchanged;
+    The first six fields are the historical tuning surface unchanged;
     the last three select the model-guided paths:
 
     * ``prune`` — discard algebraically-illegal candidates before any
@@ -242,7 +242,6 @@ class SearchConfig:
     cache: Optional[LegalityCache] = None
     jobs: int = 1
     candidate_timeout: Optional[float] = None
-    pool: Optional[object] = None
     prune: bool = False
     speculate: bool = False
     model: Optional[object] = None
@@ -332,14 +331,9 @@ def _search(nest: LoopNest, deps: DepSet,
     into the cache, so shared prefixes hit even under a bounded cache's
     eviction.  Pass any object with a compatible
     ``legality(transformation, nest, deps)`` method to substitute a
-    different policy, in either mode.  A long-lived caller
-    can likewise pass ``config.pool`` — a
-    :class:`~repro.parallel.pool.ShardedPool` to reuse across calls; it
-    is rebound to this call's workload instead of forking a fresh pool
-    per request (the transformation service does exactly this).  The
-    cache's hit/miss counters come back on
-    :attr:`SearchResult.cache_stats`; under ``repro.obs`` the search
-    additionally records spans (``search``, ``search.level``,
+    different policy, in either mode.  The cache's hit/miss counters
+    come back on :attr:`SearchResult.cache_stats`; under ``repro.obs``
+    the search additionally records spans (``search``, ``search.level``,
     ``search.candidate`` for a candidate's legality, ``search.scoring``
     for an in-process score, and ``search.shard`` when parallel) and
     metrics (explored/legal/pruned/speculated/evicted
@@ -352,7 +346,6 @@ def _search(nest: LoopNest, deps: DepSet,
     depth, beam = config.depth, config.beam
     cache = config.cache
     candidate_timeout = config.candidate_timeout
-    pool = config.pool
     n = nest.depth
     menu = list(candidates) if candidates is not None else default_candidates(n)
     if cache is None:
@@ -366,16 +359,12 @@ def _search(nest: LoopNest, deps: DepSet,
     if speculate and model is None:
         from repro.optimize.model import CostModel
         model = CostModel()
-    if pool is not None:
-        pool.rebind(nest, deps, score, menu=menu)
-        effective_jobs = pool.jobs
-    else:
-        effective_jobs = int(config.jobs) if config.jobs else 1
-        if effective_jobs > 1:
-            from repro.parallel.pool import ShardedPool
-            pool = ShardedPool(nest, deps, score, effective_jobs,
-                               candidate_timeout=candidate_timeout,
-                               menu=menu)
+    effective_jobs = int(config.jobs) if config.jobs else 1
+    pool = None
+    if effective_jobs > 1:
+        from repro.parallel.pool import ShardedPool
+        pool = ShardedPool(nest, deps, score, effective_jobs,
+                           candidate_timeout=candidate_timeout, menu=menu)
     identity = Transformation.identity(n)
     observing = _obs.enabled()
     timeouts = 0

@@ -1,14 +1,13 @@
 """The sharded process pool behind ``search(..., jobs=N)``.
 
-Lifecycle: one :class:`ShardedPool` per search call — or, for a
-long-lived caller such as the transformation service, one pool
-:meth:`~ShardedPool.rebind`-ed across many calls.  The search decides
-every candidate's legality itself, in the parent; each level's legal
-candidates are then round-robin sharded over ``jobs`` workers forked
-fresh for that level, which only score them (fork inherits the nest,
-dependence set and scoring closure — nothing but results ever needs to
-be pickled *into* a worker).  Scores stream back over a queue; the
-caller folds them into the beam in serial candidate order.
+Lifecycle: one :class:`ShardedPool` per search call, living exactly as
+long as that call.  The search decides every candidate's legality
+itself, in the parent; each level's legal candidates are then
+round-robin sharded over ``jobs`` workers forked fresh for that level,
+which only score them (fork inherits the nest, dependence set and
+scoring closure — nothing but results ever needs to be pickled *into*
+a worker).  Scores stream back over a queue; the caller folds them
+into the beam in serial candidate order.
 
 Robustness contract:
 
@@ -17,8 +16,8 @@ Robustness contract:
   onto a single fresh worker;
 * a second failure — or a stalled pool (no message for
   ``stall_timeout`` seconds while results are owed) — degrades the
-  pool: remaining candidates of the level, and all later levels, are
-  evaluated in-process by the caller.  Degradation is sticky and
+  pool: remaining candidates of the level, and all later levels of the
+  call, are evaluated in-process by the caller.  Degradation is
   recorded in :attr:`stats`;
 * a worker exception (the scoring function raised) is transported back
   and re-raised in the parent, as a serial search would have done.
@@ -70,12 +69,10 @@ class ShardedPool:
         self.stall_timeout = stall_timeout
         self.degraded = False
         self.degrade_reason: Optional[str] = None
-        self._crash_degraded = False
         self._ctx = None
         self.stats: Dict[str, object] = {
             "jobs": self.jobs,
             "levels": 0,
-            "rebinds": 0,
             "dispatched": 0,
             "parent_evals": 0,
             "timeouts": 0,
@@ -104,41 +101,13 @@ class ShardedPool:
                             f"survive the spec round-trip")
         return None
 
-    def _degrade(self, reason: str, sticky: bool = False) -> None:
-        if sticky:
-            self._crash_degraded = True
-        if self.degraded:
-            return
+    def _degrade(self, reason: str) -> None:
         self.degraded = True
         self.degrade_reason = reason
         self.stats["fallbacks"] = int(self.stats["fallbacks"]) + 1
         self.stats["fallback_reason"] = reason
         if _obs.enabled():
             get_metrics().counter("search.parallel.fallbacks").inc()
-
-    def rebind(self, nest, deps, score,
-               menu: Optional[Sequence[Template]] = None) -> None:
-        """Point the pool at a new workload without rebuilding it.
-
-        A long-lived caller (the transformation service) keeps one pool
-        across many ``search()`` calls instead of constructing — and
-        availability-probing — a fresh one per request; cumulative
-        stats (`levels`, `dispatched`, `per_worker`, ...) keep
-        accumulating across rebinds.  Workload-shaped degradation (a
-        menu that does not round-trip) is re-evaluated against the new
-        workload; degradation earned by repeated worker crashes is
-        machine-shaped and stays sticky for the pool's lifetime.
-        """
-        self.nest = nest
-        self.deps = deps
-        self.score = score
-        self.stats["rebinds"] = int(self.stats["rebinds"]) + 1
-        if not self._crash_degraded:
-            self.degraded = False
-            self.degrade_reason = None
-            reason = self._availability(menu)
-            if reason is not None:
-                self._degrade(reason)
 
     # -- per-level evaluation ----------------------------------------------
 
@@ -170,8 +139,7 @@ class ShardedPool:
                                                   trace_ctx)
                 outcomes.update(retried)
                 if failed_again:
-                    self._degrade("worker failed twice on the same shard",
-                                  sticky=True)
+                    self._degrade("worker failed twice on the same shard")
             sp.tag(completed=len(outcomes))
         self.stats["dispatched"] = (int(self.stats["dispatched"]) +
                                     len(outcomes))

@@ -1,4 +1,4 @@
-"""Long-lived transformation service: warm caches, one pool, NDJSON.
+"""Long-lived transformation service: warm caches, NDJSON.
 
 A one-shot CLI run re-pays parsing, dependence analysis, legality
 mapping and process startup on every invocation.  ``repro serve``
@@ -9,9 +9,8 @@ alive across a *session* of requests:
   :class:`~repro.core.legality_cache.LegalityCache`, a
   :class:`~repro.runtime.compiled.CompiledNestCache`, and memoized
   parse/analysis stages shared by every request;
-* one :class:`~repro.parallel.pool.ShardedPool` rebound per request
-  instead of forked per request, with same-batch legality requests
-  evaluated together (:mod:`repro.service.server`);
+* in-process request processing, batched per cycle in arrival order
+  (:mod:`repro.service.server`);
 * a newline-delimited JSON protocol over stdio or TCP with typed
   errors, bounded-queue admission control and graceful drain
   (:mod:`repro.service.protocol`);

@@ -37,7 +37,6 @@ def serve_child_argv(host: str, port: int, heartbeat: str,
                      checkpoint: str, *, hang_timeout: float,
                      checkpoint_every: int,
                      request_timeout: Optional[float] = None,
-                     jobs: int = 1,
                      options: Sequence[str] = ()) -> List[str]:
     """The argv of one supervised ``repro serve --tcp`` incarnation:
     the heartbeat/checkpoint plumbing every restart shares, the
@@ -51,6 +50,4 @@ def serve_child_argv(host: str, port: int, heartbeat: str,
             "--checkpoint-every", str(checkpoint_every)]
     if request_timeout is not None:
         argv += ["--request-timeout", str(request_timeout)]
-    if jobs > 1:
-        argv += ["--jobs", str(jobs)]
     return argv + list(options)

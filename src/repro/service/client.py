@@ -50,8 +50,8 @@ class ServiceClient:
               python: Optional[str] = None,
               env: Optional[Dict[str, str]] = None) -> "ServiceClient":
         """Start ``python -m repro serve --stdio`` as a child process and
-        attach to its pipes.  Extra ``serve_args`` (e.g. ``["--jobs",
-        "2"]``) go through verbatim."""
+        attach to its pipes.  Extra ``serve_args`` (e.g. ``["--engine",
+        "vectorized"]``) go through verbatim."""
         cmd = [python or sys.executable, "-m", "repro", "serve",
                "--stdio", *serve_args]
         proc = subprocess.Popen(

@@ -1,10 +1,9 @@
 """The long-lived transformation server.
 
 One :class:`TransformationService` owns the session's warm state
-(:class:`~repro.service.state.WarmState`) and — with ``jobs > 1`` — a
-single :class:`~repro.parallel.pool.ShardedPool` that is
-:meth:`~repro.parallel.pool.ShardedPool.rebind`-ed to each request's
-workload instead of forked fresh per request.
+(:class:`~repro.service.state.WarmState`) and answers every request in
+its own process: legality is cheap by design and the service's only
+scorer is the static ``parallelism`` score, so nothing is forked.
 
 Threading model
 ---------------
@@ -14,8 +13,7 @@ threads and only *admit* work: decode the line, run admission control,
 enqueue.  All request **processing** happens on the thread that calls
 :meth:`TransformationService.run` — the main thread under the CLI — so
 per-request budgets can reuse the ``SIGALRM``-based
-:func:`~repro.parallel.worker.call_with_timeout` and the forked pool
-keeps its fork-from-the-owner discipline.
+:func:`~repro.parallel.worker.call_with_timeout`.
 
 Admission control
 -----------------
@@ -32,9 +30,9 @@ Batching
 --------
 
 The processing loop drains up to ``batch_max`` queued requests per
-cycle and answers them in arrival order.  Legality requests run in this
-process through the warm legality cache, so a later identical request
-is a pure cache hit; the pool only scores search candidates.
+cycle and answers them in arrival order.  Legality and search
+requests run through the warm legality cache, so a later identical
+request is a pure cache hit.
 
 The transports (:func:`serve_stdio`, :func:`serve_tcp`,
 :func:`pump_frames`) serve any :class:`~repro.service.admission.
@@ -108,7 +106,7 @@ class TransformationService(AdmissionFront):
     #: answered from this window instead of re-executed.
     IDEM_WINDOW = 512
 
-    def __init__(self, *, jobs: int = 1, queue_max: int = 64,
+    def __init__(self, *, queue_max: int = 64,
                  batch_max: int = 8,
                  request_timeout: Optional[float] = None,
                  cache_max_entries: Optional[int] = 4096,
@@ -131,7 +129,6 @@ class TransformationService(AdmissionFront):
                 self._option({}, name)
             except ProtocolError as exc:
                 raise ValueError(f"service default: {exc.message}") from None
-        self.jobs = max(1, int(jobs))
         self.batch_max = max(1, int(batch_max))
         self.request_timeout = request_timeout
         self.heartbeat_file = heartbeat_file
@@ -142,10 +139,6 @@ class TransformationService(AdmissionFront):
                                compiled_max_entries=compiled_max_entries)
         if checkpoint_path and os.path.exists(checkpoint_path):
             self.state.restore(checkpoint_path)
-        self.pool = None
-        if self.jobs > 1:
-            from repro.parallel.pool import ShardedPool
-            self.pool = ShardedPool(None, None, None, self.jobs)
         self._started = time.monotonic()
         self._last_tick = time.monotonic()
         self._since_checkpoint = 0
@@ -317,13 +310,12 @@ class TransformationService(AdmissionFront):
                 _chaos.inject("service.dispatch")
                 _guards.check_rss()
                 handler = self._dispatch[op]
-                budget = self._outer_budget(op, params)
                 value, timed_out = call_with_timeout(
-                    lambda: handler(params), budget)
+                    lambda: handler(params), self.request_timeout)
                 if timed_out:
                     raise ProtocolError(
-                        TIMEOUT,
-                        f"request overran the server budget ({budget}s)")
+                        TIMEOUT, f"request overran the server budget "
+                        f"({self.request_timeout}s)")
             response = ok_response(pending.req_id, value)
         except _chaos.ChaosError as exc:
             code = UNAVAILABLE
@@ -368,23 +360,6 @@ class TransformationService(AdmissionFront):
                 metrics.counter(f"service.errors.{code}").inc()
             metrics.histogram(f"service.latency_ms.{op}").observe(elapsed_ms)
         return response
-
-    def _outer_budget(self, op: str, params: dict) -> Optional[float]:
-        """The per-request wall-clock budget, or None.
-
-        ``call_with_timeout`` budgets nest (each frame saves and
-        re-arms the enclosing itimer), so a search with an explicit
-        ``candidate_timeout`` now runs under the server budget too —
-        the inner per-candidate timers no longer clobber it.  Pooled
-        searches remain exempt: their timers live in worker processes,
-        but the parent must keep draining the result queue, and a
-        ``SIGALRM`` there would abandon workers mid-protocol.
-        """
-        if not self.request_timeout:
-            return None
-        if op == "search" and self.pool is not None:
-            return None
-        return self.request_timeout
 
     # -- shared param plumbing ---------------------------------------------
 
@@ -556,13 +531,11 @@ class TransformationService(AdmissionFront):
         model_name = self._option(params, "model")
         model = (self.state.cost_model(model_name)
                  if model_name is not None else None)
-        if self.pool is not None:
-            self.pool.candidate_timeout = candidate_timeout
         config = SearchConfig(score=parallelism_score, depth=depth,
                               beam=beam, cache=self.state.legality_cache,
                               candidate_timeout=candidate_timeout,
-                              pool=self.pool, prune=prune,
-                              speculate=speculate, model=model)
+                              prune=prune, speculate=speculate,
+                              model=model)
         result = search(nest, deps, config=config)
         winner = result.transformation
         return {
@@ -588,7 +561,6 @@ class TransformationService(AdmissionFront):
             "protocol": PROTOCOL_VERSION,
             "version": __version__,
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "jobs": self.jobs,
             "draining": self._draining,
             "queue": {
                 "depth": depth,
@@ -616,7 +588,6 @@ class TransformationService(AdmissionFront):
                 "checkpoint_path": self.checkpoint_path,
             },
             "caches": self.state.stats(),
-            "pool": self.pool.snapshot() if self.pool is not None else None,
         }
         return doc
 
@@ -707,11 +678,8 @@ def serve_stdio(service: AdmissionFront,
     signal, or a ``shutdown`` request)."""
     raw_fd = None
     if in_stream is None:
-        # Real stdin must be read at the fd level: a thread blocked in
-        # sys.stdin.readline() holds the stream's internal lock, and a
-        # worker forked by the pool deadlocks in multiprocessing's
-        # bootstrap when it tries to sys.stdin.close() under that
-        # still-held lock.  os.read() takes no Python-level lock.
+        # Real stdin is read at the fd level and pumped as bytes, so
+        # frame-size and UTF-8 validation happen before JSON decoding.
         try:
             raw_fd = sys.stdin.fileno()
         except (OSError, ValueError, AttributeError):
@@ -721,8 +689,6 @@ def serve_stdio(service: AdmissionFront,
 
     def reader() -> None:
         if raw_fd is not None:
-            # Real stdin is pumped at the byte level so frame-size and
-            # UTF-8 validation happen before JSON decoding.
             pump_frames(lambda: os.read(raw_fd, 65536), service, reply)
         else:
             for line in in_stream:

@@ -347,7 +347,8 @@ class TestServeClient:
                                                   monkeypatch, capsys):
         """The ``--supervise`` child and every fleet worker start from
         one argv builder; parsed back, each carries the serve options it
-        was given."""
+        was given.  ``--jobs`` is inert for ``serve`` and is not passed
+        on."""
         from repro import fleet
         from repro.cli import build_parser
         from repro.fleet import FleetError, WorkerHandle
@@ -356,7 +357,7 @@ class TestServeClient:
         options = ["--engine", "interpreter", "--queue-max", "7",
                    "--batch-max", "3", "--cache-max-entries", "99",
                    "--prune", "--speculate", "--model", "evidence",
-                   "--request-timeout", "2.5", "--jobs", "3"]
+                   "--request-timeout", "2.5"]
         argvs = []
 
         class RecordingSupervisor:
@@ -381,9 +382,9 @@ class TestServeClient:
         monkeypatch.setattr(supervisor, "Supervisor", RecordingSupervisor)
         monkeypatch.setattr(fleet, "FleetRouter", RecordingRouter)
         assert main(["serve", "--tcp", "--supervise", "--heartbeat-file",
-                     str(tmp_path / "s.hb"), *options]) == 0
+                     str(tmp_path / "s.hb"), *options, "--jobs", "3"]) == 0
         assert main(["serve", "--tcp", "--fleet", "2", "--fleet-dir",
-                     str(tmp_path), *options]) == 1
+                     str(tmp_path), *options, "--jobs", "3"]) == 1
         capsys.readouterr()
         parser = build_parser()
         given = parser.parse_args(["serve", *options])
@@ -393,5 +394,51 @@ class TestServeClient:
             child = parser.parse_args(argv[3:])
             for name in ("engine", "queue_max", "batch_max",
                          "cache_max_entries", "prune", "speculate",
-                         "model", "request_timeout", "jobs"):
+                         "model", "request_timeout"):
                 assert getattr(child, name) == getattr(given, name), name
+            assert "--jobs" not in argv
+
+    def test_serve_jobs_is_inert_and_search_forks_nothing(self,
+                                                          monkeypatch,
+                                                          capsys):
+        """``serve --stdio --jobs 2`` still parses, and the service it
+        builds answers ``search`` in-process: with ``os.fork`` refused,
+        the reply is the cold in-process search's answer."""
+        import json as json_mod
+        import os
+
+        from repro import service as service_mod
+        from repro.deps.analysis import analyze
+        from repro.ir import parse_nest
+        from repro.optimize.search import SearchConfig, search
+
+        built = []
+        monkeypatch.setattr(service_mod, "serve_stdio",
+                            lambda service, *a, **kw: built.append(service))
+        assert main(["serve", "--stdio", "--jobs", "2"]) == 0
+        capsys.readouterr()
+        (service,) = built
+
+        def refuse_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        replies = []
+        service.ingest(json_mod.dumps(
+            {"id": 1, "op": "search",
+             "params": {"text": MATMUL, "depth": 2, "beam": 6}}),
+            replies.append)
+        service.request_drain("test")
+        service.run()
+
+        (reply,) = replies
+        assert reply["ok"], reply
+        nest = parse_nest(MATMUL)
+        expected = search(nest, analyze(nest),
+                          config=SearchConfig(depth=2, beam=6))
+        got = reply["result"]
+        assert got["spec"] == expected.transformation.to_spec()
+        assert got["score"] == expected.score
+        assert (got["explored"], got["legal"]) == (expected.explored,
+                                                   expected.legal_count)
+        assert got["parallel"] is None

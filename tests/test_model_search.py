@@ -200,7 +200,7 @@ def test_search_config_defaults_match_legacy_defaults():
     config = SearchConfig()
     assert config.score is parallelism_score
     assert (config.depth, config.beam, config.jobs) == (2, 8, 1)
-    assert config.cache is None and config.pool is None
+    assert config.cache is None
     assert not config.prune and not config.speculate
     assert config.model is None
 

@@ -9,6 +9,7 @@ latency; they may never change answers.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
@@ -289,14 +290,28 @@ def test_score_timeout_carries_token():
     assert ScoreTimeout(tok).token is tok
 
 
-def test_service_budget_applies_around_candidate_timeouts():
-    """A search with an explicit candidate_timeout now runs under the
+def test_service_budget_applies_around_candidate_timeouts(monkeypatch):
+    """A search with an explicit candidate_timeout runs under the
     server request budget too (nesting works); the request must come
     back typed, not hang."""
-    service = TransformationService(request_timeout=5.0)
-    budget = service._outer_budget(
-        "search", {"candidate_timeout": 0.5})
-    assert budget == 5.0
+    search_mod = importlib.import_module("repro.optimize.search")
+
+    def slow_score(transformation, nest, deps):
+        time.sleep(0.2)
+        return 0.0
+
+    monkeypatch.setattr(search_mod, "parallelism_score", slow_score)
+    service = TransformationService(request_timeout=0.5)
+    replies = []
+    service.ingest(json.dumps(
+        {"id": 1, "op": "search",
+         "params": {"text": STENCIL, "candidate_timeout": 1.0}}),
+        replies.append)
+    service.request_drain("test")
+    t0 = time.monotonic()
+    service.run()
+    assert time.monotonic() - t0 < 3.0
+    assert replies[0]["error"]["code"] == protocol.TIMEOUT
 
 
 # ---------------------------------------------------------------------------

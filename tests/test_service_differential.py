@@ -1,10 +1,5 @@
 """The service must be a *transparent* cache: every answer
-field-identical to a cold in-process call through ``repro.api``.
-
-The jobs=2 variants additionally pin down that the shared pool —
-rebound across requests, scoring search candidates — changes nothing
-about the answers, only about the forking economics.
-"""
+field-identical to a cold in-process call through ``repro.api``."""
 
 from __future__ import annotations
 
@@ -54,9 +49,8 @@ def drive(service, requests):
     return {r["id"]: r for r in replies}
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_legality_batch_matches_in_process(jobs):
-    service = TransformationService(jobs=jobs, batch_max=len(SPECS))
+def test_legality_batch_matches_in_process():
+    service = TransformationService(batch_max=len(SPECS))
     replies = drive(service, [
         {"id": i, "op": "legality",
          "params": {"text": STENCIL, "steps": spec}}
@@ -75,14 +69,13 @@ def test_legality_batch_matches_in_process(jobs):
             assert got["reason"] == report.reason
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("src,depth,beam", [(STENCIL, 2, 4),
                                             (MATMUL, 2, 6)])
-def test_search_matches_in_process(jobs, src, depth, beam):
+def test_search_matches_in_process(src, depth, beam):
     """A fresh service's first search answers exactly like a cold
     ``repro.api.search`` — including ``cache_stats``, because both
     start from an empty legality cache."""
-    service = TransformationService(jobs=jobs)
+    service = TransformationService()
     replies = drive(service, [
         {"id": 1, "op": "search",
          "params": {"text": src, "depth": depth, "beam": beam}},
